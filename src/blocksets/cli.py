@@ -8,6 +8,7 @@ verification, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -38,7 +39,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="blocksets",
         description="Construct, verify, search, and classify extremal "

@@ -8,7 +8,7 @@ from math import isqrt
 from typing import Iterable
 
 from . import blocking
-from .plane import IncidencePlane, PlaneFormatError
+from .plane import IncidencePlane, PlaneFormatError, header_value, read_rows
 
 
 class FamilyLabel(Enum):
@@ -158,25 +158,42 @@ def save_point_set(point_set: PointSet, path) -> None:
 
 
 def load_point_set(path, plane: IncidencePlane) -> PointSet:
-    """Read a point-set file and attach it to the given plane."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.strip() for line in fh]
-    rows = [r for r in rows if r]
-    if len(rows) < 2:
-        raise PlaneFormatError("point-set file needs order and size lines")
-    if not rows[0].startswith("order "):
-        raise PlaneFormatError("line 1: expected 'order <n>'")
-    order = int(rows[0].split()[1])
+    """Read a point-set file and attach it to the given plane.
+
+    Format: ``order <n>``, ``size <m>``, then one line of the m sorted,
+    distinct point indices (absent when m = 0).  Blank lines and lines
+    starting with ``#`` are skipped; any other row is an error.  Problems
+    are reported with their file line number.
+    """
+    rows = read_rows(path)
+    if not rows:
+        raise PlaneFormatError("empty point-set file")
+
+    order = header_value(rows[0], "order", "n")
     if order != plane.order:
         raise PlaneFormatError(
-            f"order mismatch: file has {order}, plane has {plane.order}"
+            f"line {rows[0][0]}: order mismatch: file has {order}, plane has {plane.order}"
         )
-    if not rows[1].startswith("size "):
-        raise PlaneFormatError("line 2: expected 'size <m>'")
-    size = int(rows[1].split()[1])
-    indices = [int(tok) for tok in rows[2].split()] if len(rows) > 2 else []
+    if len(rows) < 2:
+        raise PlaneFormatError(f"line {rows[0][0]}: no 'size <m>' line follows")
+    size = header_value(rows[1], "size", "m")
+    if len(rows) > 3:
+        raise PlaneFormatError(f"line {rows[3][0]}: unexpected row after the index line")
+
+    lineno = rows[-1][0]
+    indices: list[int] = []
+    if len(rows) == 3:
+        try:
+            indices = [int(tok) for tok in rows[2][1].split()]
+        except ValueError:
+            raise PlaneFormatError(f"line {lineno}: non-integer point index") from None
     if len(indices) != size:
-        raise PlaneFormatError(f"size field {size} != {len(indices)} listed indices")
+        raise PlaneFormatError(
+            f"line {lineno}: size field {size} != {len(indices)} listed indices"
+        )
     if indices != sorted(set(indices)):
-        raise PlaneFormatError("indices must be sorted and distinct")
-    return PointSet.from_indices(plane, indices)
+        raise PlaneFormatError(f"line {lineno}: indices must be sorted and distinct")
+    try:
+        return PointSet.from_indices(plane, indices)
+    except ValueError as exc:
+        raise PlaneFormatError(f"line {lineno}: {exc}") from None

@@ -55,20 +55,21 @@ class IncidencePlane:
         self.num_points = order * order + order + 1
         self.num_lines = len(lines)
         checked = []
-        for line in lines:
-            pts = tuple(sorted(line))
-            for i in pts:
-                if not 0 <= i < self.num_points:
-                    raise ValueError(f"point index {i} out of range")
-            checked.append(pts)
-        self.lines: tuple[tuple[int, ...], ...] = tuple(checked)
-        self.line_masks: tuple[int, ...] = tuple(
-            sum(1 << i for i in pts) for pts in self.lines
-        )
+        masks = []
         through: list[list[int]] = [[] for _ in range(self.num_points)]
-        for j, pts in enumerate(self.lines):
+        for j, line in enumerate(lines):
+            pts = tuple(sorted(line))
+            if pts and not (0 <= pts[0] and pts[-1] < self.num_points):
+                bad = next(i for i in pts if not 0 <= i < self.num_points)
+                raise ValueError(f"point index {bad} out of range")
+            mask = 0
             for i in pts:
+                mask |= 1 << i
                 through[i].append(j)
+            checked.append(pts)
+            masks.append(mask)
+        self.lines: tuple[tuple[int, ...], ...] = tuple(checked)
+        self.line_masks: tuple[int, ...] = tuple(masks)
         self.point_lines: tuple[tuple[int, ...], ...] = tuple(
             tuple(ls) for ls in through
         )
@@ -170,9 +171,55 @@ _MAX_REPORTED_FAILURES = 25
 def verify_plane_axioms(plane: IncidencePlane) -> AxiomReport:
     """Exhaustively check the projective-plane axioms.
 
-    Verifies the global counts, per-line cardinality, per-point degree, and
-    that any two distinct points lie on exactly one common line.  Failures
-    are report entries (with a first counterexample), never exceptions.
+    The axioms are the global counts, per-line cardinality, per-point degree,
+    and that any two distinct points lie on exactly one common line.  The
+    last is decided on bitmasks in O(N * n) big-integer operations: when
+    every line has n+1 distinct points and every point lies on n+1 lines,
+    the lines through a point p carry at most (n+1) * n + 1 = n^2+n+1
+    points, so their masks cover the whole universe exactly when they meet
+    pairwise in p alone, i.e. when every other point shares exactly one
+    line with p.
+
+    The pair walk (``_pair_walk_failures``) only writes the failure
+    messages (with a first counterexample), and runs only for a plane that
+    fails this check; on a plane that passes it would find nothing, so the
+    report is the walk's on every input.  Failures are report entries, never
+    exceptions.
+    """
+    if _lines_cover_from_every_point(plane):
+        return AxiomReport(ok=True)
+    failures = _pair_walk_failures(plane)
+    return AxiomReport(ok=not failures, failures=failures)
+
+
+def _lines_cover_from_every_point(plane: IncidencePlane) -> bool:
+    """True iff the counts hold and the lines through each point cover all."""
+    n = plane.order
+    if plane.num_lines != n * n + n + 1:
+        return False
+    if any(len(pts) != n + 1 for pts in plane.lines):
+        return False
+    if any(m.bit_count() != n + 1 for m in plane.line_masks):
+        return False
+    if any(len(ls) != n + 1 for ls in plane.point_lines):
+        return False
+    masks = plane.line_masks
+    universe = (1 << plane.num_points) - 1
+    for ls in plane.point_lines:
+        cover = 0
+        for j in ls:
+            cover |= masks[j]
+        if cover != universe:
+            return False
+    return True
+
+
+def _pair_walk_failures(plane: IncidencePlane) -> list[str]:
+    """Failure messages of the axiom check, by walking every pair on every line.
+
+    Builds a dict of all N(N-1)/2 covered pairs, so it costs O(N^2) memory;
+    it is the reference path and runs only for planes that fail the cover
+    check.
     """
     n = plane.order
     expected = n * n + n + 1
@@ -212,7 +259,7 @@ def verify_plane_axioms(plane: IncidencePlane) -> AxiomReport:
                 continue
             break
 
-    return AxiomReport(ok=not failures, failures=failures)
+    return failures
 
 
 def save_plane(plane: IncidencePlane, path) -> None:
@@ -223,6 +270,30 @@ def save_plane(plane: IncidencePlane, path) -> None:
             fh.write(" ".join(str(i) for i in pts) + "\n")
 
 
+def read_rows(path) -> list[tuple[int, str]]:
+    """(file line number, stripped text) of every line that is neither blank
+    nor a ``#`` comment."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.strip()
+            if text and not text.startswith("#"):
+                rows.append((lineno, text))
+    return rows
+
+
+def header_value(row: tuple[int, str], key: str, var: str) -> int:
+    """The integer of a ``<key> <var>`` header row, e.g. ``order 4``."""
+    lineno, text = row
+    parts = text.split()
+    if len(parts) != 2 or parts[0] != key:
+        raise PlaneFormatError(f"line {lineno}: expected '{key} <{var}>'")
+    try:
+        return int(parts[1])
+    except ValueError:
+        raise PlaneFormatError(f"line {lineno}: {key} is not an integer") from None
+
+
 def load_plane(path) -> IncidencePlane:
     """Read a plane file and validate it, including the plane axioms.
 
@@ -231,26 +302,13 @@ def load_plane(path) -> IncidencePlane:
     spaces.  Lines starting with ``#`` are comments.  Structural problems
     are reported with their file line number.
     """
-    rows: list[tuple[int, str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            rows.append((lineno, text))
+    rows = read_rows(path)
     if not rows:
         raise PlaneFormatError("empty plane file")
 
-    lineno, header = rows[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "order":
-        raise PlaneFormatError(f"line {lineno}: expected 'order <n>'")
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise PlaneFormatError(f"line {lineno}: order is not an integer") from None
+    n = header_value(rows[0], "order", "n")
     if n < 2:
-        raise PlaneFormatError(f"line {lineno}: order must be at least 2")
+        raise PlaneFormatError(f"line {rows[0][0]}: order must be at least 2")
 
     expected = n * n + n + 1
     body = rows[1:]
@@ -262,14 +320,14 @@ def load_plane(path) -> IncidencePlane:
     lines = []
     for lineno, text in body:
         try:
-            pts = [int(tok) for tok in text.split()]
+            pts = list(map(int, text.split()))
         except ValueError:
             raise PlaneFormatError(f"line {lineno}: non-integer point index") from None
         if len(pts) != n + 1 or len(set(pts)) != len(pts):
             raise PlaneFormatError(f"line {lineno}: line cardinality != n+1")
-        for i in pts:
-            if not 0 <= i < expected:
-                raise PlaneFormatError(f"line {lineno}: point index {i} out of range")
+        if min(pts) < 0 or max(pts) >= expected:
+            bad = next(i for i in pts if not 0 <= i < expected)
+            raise PlaneFormatError(f"line {lineno}: point index {bad} out of range")
         lines.append(pts)
 
     plane = IncidencePlane(n, lines)

@@ -2,8 +2,9 @@
 
 Everything here is deliberately independent of the implementation paths it
 checks: reducibility is decided by multiplying smaller polynomials, planes
-come from an XOR construction, and equality solutions are found by plain
-two-dimensional enumeration.
+come from an XOR construction, plane axioms are checked by counting the
+lines through every pair of points, and equality solutions are found by
+plain two-dimensional enumeration.
 """
 
 from __future__ import annotations
@@ -117,6 +118,21 @@ def xor_fano_lines():
         if triple[0] ^ triple[1] ^ triple[2] == 0:
             lines.append(tuple(x - 1 for x in triple))
     return lines
+
+
+def plane_axioms_hold_by_pair_sets(order, lines):
+    """Projective-plane axioms from plain sets: n^2+n+1 lines of n+1 distinct
+    points, and every pair of distinct points on exactly one line."""
+    num_points = order * order + order + 1
+    if len(lines) != num_points:
+        return False
+    sets = [set(line) for line in lines]
+    if any(len(s) != len(line) or len(s) != order + 1 for s, line in zip(sets, lines)):
+        return False
+    for a, b in itertools.combinations(range(num_points), 2):
+        if sum(1 for s in sets if a in s and b in s) != 1:
+            return False
+    return True
 
 
 # -- equality-condition oracle -------------------------------------------------

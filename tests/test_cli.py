@@ -1,8 +1,10 @@
 import json
 
+import pytest
+
 import support
 from blocksets import load_point_set, save_plane, save_point_set
-from blocksets.cli import main
+from blocksets.cli import _build_parser, main
 from blocksets.families import PointSet
 
 
@@ -294,3 +296,55 @@ def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "spectrum", "--plane", "/nonexistent", "--set", "/nope")
     assert code == 2
     assert "error" in err
+
+
+@pytest.fixture
+def plane_files(tmp_path, capsys):
+    paths = {name: str(tmp_path / f"{name}.txt") for name in ("pg24", "unital", "fano")}
+    run(capsys, "construct", "unital", "4", "--output", paths["unital"],
+        "--plane-out", paths["pg24"])
+    save_plane(support.desarguesian(2, 1), paths["fano"])
+    return paths
+
+
+# Pairs of calls where a parser shared by the process could carry state from
+# the first into the second: an option given, then left to its default, and
+# a usage error (exit 2) before a valid call.
+PARSER_REUSE_PAIRS = [
+    (
+        ["verify", "--plane", "{pg24}", "--set", "{unital}", "--t", "1", "--json"],
+        ["verify", "--plane", "{pg24}", "--set", "{unital}", "--t", "1"],
+    ),
+    (
+        ["search", "--plane", "{fano}", "--t", "2", "--budget", "1"],
+        ["search", "--plane", "{fano}", "--t", "2"],
+    ),
+    (["construct", "minus-point", "4", "--point", "3"], ["construct", "minus-point", "4"]),
+    (
+        ["verify", "--plane", "{pg24}", "--set", "{unital}", "--t", "x"],
+        ["verify", "--plane", "{pg24}", "--set", "{unital}", "--t", "1"],
+    ),
+]
+
+
+@pytest.mark.parametrize("first,second", PARSER_REUSE_PAIRS)
+def test_reused_parser_keeps_no_state(plane_files, capsys, first, second):
+    first = [a.format(**plane_files) for a in first]
+    second = [a.format(**plane_files) for a in second]
+    _build_parser.cache_clear()
+    made_first = run(capsys, *second)
+    _build_parser.cache_clear()
+    run(capsys, *first)
+    assert run(capsys, *second) == made_first
+    assert _build_parser.cache_info().misses == 1
+
+
+def test_verify_rejects_extra_point_set_row(plane_files, tmp_path, capsys):
+    set_path = tmp_path / "extra.txt"
+    set_path.write_text("order 4\nsize 3\n0 1 2\n5\n")
+    code, out, err = run(
+        capsys, "verify", "--plane", plane_files["pg24"], "--set", str(set_path), "--t", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "line 4" in err

@@ -206,3 +206,37 @@ def test_point_set_load_size_mismatch(tmp_path):
     path.write_text("order 2\nsize 3\n0 1\n")
     with pytest.raises(PlaneFormatError, match="size"):
         load_point_set(path, fano)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("order 2\nsize 3\n0 1 2\n5\n", "line 4: unexpected row"),
+        ("order x\nsize 0\n", "line 1: order is not an integer"),
+        ("# by hand\norder 2\nsize x\n", "line 3: size is not an integer"),
+        ("size 3\norder 2\n", "line 1: expected 'order <n>'"),
+        ("order 2\n# no size\n0 1 2\n", "line 3: expected 'size <m>'"),
+        ("\norder 2\n", "line 2: no 'size <m>' line"),
+        ("order 4\nsize 0\n", "line 1: order mismatch"),
+        ("order 2\n# three\nsize 3\n0 1 x\n", "line 4: non-integer point index"),
+        ("order 2\nsize 3\n\n0 1\n", "line 4: size field 3 != 2"),
+        ("order 2\nsize 2\n1 0\n", "line 3: indices must be sorted"),
+        ("order 2\nsize 1\n7\n", "line 3: point index 7 out of range"),
+        ("# nothing\n\n", "empty point-set file"),
+    ],
+)
+def test_point_set_load_rejects_malformed_file(tmp_path, text, message):
+    from blocksets import PlaneFormatError
+
+    fano = support.desarguesian(2, 1)
+    path = tmp_path / "set.txt"
+    path.write_text(text)
+    with pytest.raises(PlaneFormatError, match=message):
+        load_point_set(path, fano)
+
+
+def test_point_set_load_skips_comments(tmp_path):
+    fano = support.desarguesian(2, 1)
+    path = tmp_path / "set.txt"
+    path.write_text("# a line of the Fano plane\norder 2\n# its points\nsize 3\n0 1 2\n")
+    assert load_point_set(path, fano).indices() == (0, 1, 2)

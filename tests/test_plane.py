@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 import support
+from blocksets import plane as plane_module
 from blocksets import (
     IncidencePlane,
     PlaneFormatError,
@@ -28,7 +31,9 @@ def test_pg24_counts():
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
 def test_desarguesian_planes_pass_axioms(p, k):
-    report = verify_plane_axioms(support.desarguesian(p, k))
+    plane = support.desarguesian(p, k)
+    assert support.plane_axioms_hold_by_pair_sets(plane.order, plane.lines)
+    report = verify_plane_axioms(plane)
     assert report.ok, report.failures
 
 
@@ -177,3 +182,71 @@ def test_loaded_plane_has_no_coordinates(tmp_path):
     loaded = load_plane(path)
     assert loaded.field is None
     assert loaded.point_coords is None
+
+
+# -- the cover check against the pair-set oracle and the pair walk ------------
+
+
+def _swap_points_between_lines(lines):
+    # x leaves line 0 for line 1 and y the other way: cardinalities and
+    # degrees are unchanged, so only the cover check can see it
+    x = next(i for i in lines[0] if i not in lines[1])
+    y = next(i for i in lines[1] if i not in lines[0])
+    lines[0][lines[0].index(x)] = y
+    lines[1][lines[1].index(y)] = x
+
+
+def _duplicate_line(lines):
+    lines[1] = list(lines[0])
+
+
+def _repeat_index_in_line(lines):
+    lines[0][1] = lines[0][0]
+
+
+def _shorten_line(lines):
+    lines[0].pop()
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_swap_points_between_lines, _duplicate_line, _repeat_index_in_line, _shorten_line],
+)
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2)])
+def test_corrupted_plane_reports_pair_walk_failures(p, k, corrupt):
+    lines = [list(l) for l in support.desarguesian(p, k).lines]
+    corrupt(lines)
+    order = p**k
+    broken = IncidencePlane(order, lines)
+    report = verify_plane_axioms(broken)
+    assert report.ok == support.plane_axioms_hold_by_pair_sets(order, lines)
+    assert not report.ok
+    assert report.failures == plane_module._pair_walk_failures(broken)
+    if corrupt is _swap_points_between_lines:
+        assert all("lie on" in f for f in report.failures)
+
+
+def test_random_corruptions_agree_with_oracle_and_pair_walk():
+    rng = random.Random(7)
+    base = support.desarguesian(3, 1)
+    for _ in range(150):
+        lines = [list(l) for l in base.lines]
+        for _ in range(rng.randint(1, 2)):
+            j, j2 = rng.randrange(13), rng.randrange(13)
+            a, b = rng.randrange(4), rng.randrange(4)
+            lines[j][a], lines[j2][b] = lines[j2][b], lines[j][a]
+        plane = IncidencePlane(3, lines)
+        report = verify_plane_axioms(plane)
+        assert report.ok == support.plane_axioms_hold_by_pair_sets(3, lines)
+        assert report.failures == plane_module._pair_walk_failures(plane)
+
+
+def test_valid_plane_never_enters_pair_walk(tmp_path, monkeypatch):
+    def refuse(plane):
+        raise AssertionError("pair walk run on a valid plane")
+
+    path = tmp_path / "pg28.txt"
+    save_plane(support.desarguesian(2, 3), path)
+    monkeypatch.setattr(plane_module, "_pair_walk_failures", refuse)
+    plane = load_plane(path)
+    assert verify_plane_axioms(plane).ok
