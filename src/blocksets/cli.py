@@ -85,14 +85,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plane", required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--size", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--budget", type=int, default=10**9)
     p.add_argument("--no-prune", action="store_true")
     p.add_argument("--output", help="directory for found point-set files")
 
     p = sub.add_parser("certify", help="desk-scale certification for PG(2, q), q <= 4")
     p.add_argument("q", type=int)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--budget", type=int, default=10**9)
     p.add_argument("--json", action="store_true")
 
@@ -276,7 +274,6 @@ def _cmd_search(args) -> int:
         args.t,
         size=args.size,
         pruning=not args.no_prune,
-        workers=args.workers,
         node_budget=args.budget,
     )
     result = exhaustive_extremal_search(task)
@@ -309,7 +306,7 @@ def _cmd_certify(args) -> int:
         return EXIT_USAGE
     pp = PrimePower.from_order(args.q)
     plane = build_desarguesian_plane(make_field(pp.p, pp.k))
-    report = certify_no_other_t(plane, workers=args.workers, node_budget=args.budget)
+    report = certify_no_other_t(plane, node_budget=args.budget)
     if args.json:
         print(json.dumps(report.as_dict()))
     else:

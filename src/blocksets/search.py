@@ -5,6 +5,10 @@ with three prunes: a line that can no longer reach t points is dead, a line
 already holding b+1 points takes no more, and a branch that cannot reach the
 target size is cut.  Every completed set is re-verified through the blocking
 module before it is reported; search bookkeeping is never trusted.
+
+The search is iterative, one loop over an explicit stack, with a global node
+budget: a result reports at most that many nodes, and is complete exactly
+when the search finished.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,12 +25,6 @@ from .families import FamilyLabel, PointSet, characterize
 from .plane import IncidencePlane
 
 DEFAULT_NODE_BUDGET = 10**9
-
-# Planes with at least this many points are split into fixed root subtrees;
-# the decomposition depends only on the plane, never on the worker count, so
-# results and completeness are identical for any number of workers.
-_SPLIT_MIN_POINTS = 12
-_SPLIT_DEPTH = 4
 
 
 @dataclass
@@ -43,7 +40,6 @@ class SearchTask:
     t: int
     size: int | None = None
     pruning: bool = True
-    workers: int = 1
     node_budget: int = DEFAULT_NODE_BUDGET
     symmetry: Sequence[Sequence[int]] | None = None
 
@@ -54,10 +50,6 @@ class SearchResult:
     nodes: int
     seconds: float
     complete: bool
-
-
-class _BudgetExceeded(Exception):
-    pass
 
 
 def _validate_extremal(plane, mask, t, b):
@@ -105,90 +97,72 @@ def _check_symmetry(plane: IncidencePlane, perms: Sequence[Sequence[int]]):
                 raise ValueError("symmetry permutation does not preserve lines")
 
 
-class _Searcher:
-    def __init__(self, plane, t, m, b, first_points):
-        self.plane = plane
-        self.t = t
-        self.m = m
-        self.b = b
-        self.first_points = first_points
-        self.num_points = plane.num_points
-        self.num_lines = plane.num_lines
-        # suffix[j][i]: points of line j with index >= i, for the dead-line prune
-        self.suffix = []
-        for pts in plane.lines:
-            on_line = set(pts)
-            col = [0] * (self.num_points + 1)
-            for i in range(self.num_points - 1, -1, -1):
-                col[i] = col[i + 1] + (1 if i in on_line else 0)
-            self.suffix.append(col)
+def _pruned_search(plane, t, m, b, budget, first_points):
+    """Depth-first include-then-exclude search on an explicit stack.
 
-    def run_subtree(self, prefix, budget):
-        """Search the subtree fixed by include/exclude decisions on points
-        0..len(prefix)-1; returns (found sets, nodes used, complete)."""
-        plane, t, m, b = self.plane, self.t, self.m, self.b
-        pt_lines = plane.point_lines
-        suffix = self.suffix
-        counts = [0] * self.num_lines
-        found = []
-        state = {"nodes": 0}
-
-        def include_ok(i, size):
-            if size == 0 and self.first_points is not None and i not in self.first_points:
-                return False
-            return all(counts[j] <= b for j in pt_lines[i])
-
-        def exclude_ok(i):
-            nxt = i + 1
-            return all(counts[j] + suffix[j][nxt] >= t for j in pt_lines[i])
-
-        def step(i, size, mask):
-            state["nodes"] += 1
-            if state["nodes"] > budget:
-                raise _BudgetExceeded
-            if size == m:
-                if all(c >= t for c in counts):
-                    ps = _validate_extremal(plane, mask, t, b)
-                    if ps is not None:
-                        found.append(ps)
-                return
-            if i == self.num_points or size + (self.num_points - i) < m:
-                return
-            if include_ok(i, size):
-                for j in pt_lines[i]:
-                    counts[j] += 1
-                step(i + 1, size + 1, mask | (1 << i))
-                for j in pt_lines[i]:
+    Returns (found sets, nodes visited, complete).  A fresh node is the entry
+    (point, size, mask, None); (point, size, mask, included) marks the return
+    from that node's include branch, where the include is undone (if it was
+    taken) and the exclude branch is tried.  The search stops before visiting
+    node budget + 1, and is complete exactly when the stack empties.
+    """
+    num_points = plane.num_points
+    pt_lines = plane.point_lines
+    # suffix[j][i]: points of line j with index >= i, for the dead-line prune
+    suffix = []
+    for pts in plane.lines:
+        on_line = set(pts)
+        col = [0] * (num_points + 1)
+        for i in range(num_points - 1, -1, -1):
+            col[i] = col[i + 1] + (1 if i in on_line else 0)
+        suffix.append(col)
+    counts = [0] * plane.num_lines
+    found = []
+    nodes = 0
+    stack = [(0, 0, 0, None)]
+    while stack:
+        i, size, mask, included = stack.pop()
+        if included is not None:
+            lines = pt_lines[i]
+            if included:
+                for j in lines:
                     counts[j] -= 1
-            if exclude_ok(i):
-                step(i + 1, size, mask)
-
-        # Replay the prefix decisions with the same feasibility checks.
-        size, mask = 0, 0
-        for i, take in enumerate(prefix):
-            if take:
-                if not include_ok(i, size):
-                    return [], 0, True
-                for j in pt_lines[i]:
-                    counts[j] += 1
-                size += 1
-                mask |= 1 << i
-            else:
-                if not exclude_ok(i):
-                    return [], 0, True
-
-        try:
-            step(len(prefix), size, mask)
-        except _BudgetExceeded:
-            return found, state["nodes"], False
-        return found, state["nodes"], True
+            nxt = i + 1
+            if all(counts[j] + suffix[j][nxt] >= t for j in lines):
+                stack.append((nxt, size, mask, None))
+            continue
+        if nodes == budget:
+            return found, nodes, False
+        nodes += 1
+        if size == m:
+            if all(c >= t for c in counts):
+                ps = _validate_extremal(plane, mask, t, b)
+                if ps is not None:
+                    found.append(ps)
+            continue
+        if i == num_points or size + (num_points - i) < m:
+            continue
+        lines = pt_lines[i]
+        # with a symmetry, a set's first point must be an orbit minimum
+        take = (size or first_points is None or i in first_points) and all(
+            counts[j] <= b for j in lines
+        )
+        stack.append((i, size, mask, take))
+        if take:
+            for j in lines:
+                counts[j] += 1
+            stack.append((i + 1, size + 1, mask | (1 << i), None))
+    return found, nodes, True
 
 
 def exhaustive_extremal_search(task: SearchTask) -> SearchResult:
     """Run one search task to exhaustion (or until the node budget runs out).
 
-    The returned set list is sorted lexicographically by point indices and is
-    identical for any worker count.
+    The pruned search is iterative, so its depth is not bounded by the
+    interpreter's recursion limit, and its node budget is global: the result
+    never reports more nodes than the budget, and is complete only when the
+    search finished.  The returned set list is sorted lexicographically by
+    point indices.
     """
     start = time.perf_counter()
     plane, t = task.plane, task.t
@@ -204,38 +178,24 @@ def exhaustive_extremal_search(task: SearchTask) -> SearchResult:
         _check_symmetry(plane, task.symmetry)
         first_points = _orbit_minima(plane.num_points, task.symmetry)
 
-    if not task.pruning:
-        sets, nodes, complete = _brute_force(plane, t, m, b, task.node_budget, first_points)
-    else:
-        searcher = _Searcher(plane, t, m, b, first_points)
-        if plane.num_points >= _SPLIT_MIN_POINTS:
-            prefixes = list(itertools.product((True, False), repeat=_SPLIT_DEPTH))
-        else:
-            prefixes = [()]
-        budget_each = max(1, task.node_budget // len(prefixes))
-        if task.workers > 1 and len(prefixes) > 1:
-            with ThreadPoolExecutor(max_workers=task.workers) as pool:
-                outcomes = list(
-                    pool.map(lambda pre: searcher.run_subtree(pre, budget_each), prefixes)
-                )
-        else:
-            outcomes = [searcher.run_subtree(pre, budget_each) for pre in prefixes]
-        sets = [ps for out in outcomes for ps in out[0]]
-        nodes = sum(out[1] for out in outcomes)
-        complete = all(out[2] for out in outcomes)
-
+    search = _pruned_search if task.pruning else _brute_force
+    sets, nodes, complete = search(plane, t, m, b, task.node_budget, first_points)
     sets.sort(key=lambda ps: ps.indices())
     return SearchResult(sets, nodes, time.perf_counter() - start, complete)
 
 
 def _brute_force(plane, t, m, b, budget, first_points):
-    """Unpruned oracle: filter every size-m subset through the verifier."""
+    """Unpruned oracle: filter every size-m subset through the verifier.
+
+    Each subset is one node; like the pruned search, it stops before visiting
+    node budget + 1.
+    """
     found = []
     nodes = 0
     for combo in itertools.combinations(range(plane.num_points), m):
-        nodes += 1
-        if nodes > budget:
+        if nodes == budget:
             return found, nodes, False
+        nodes += 1
         if first_points is not None and combo[0] not in first_points:
             continue
         mask = 0
@@ -293,7 +253,6 @@ class CertifyReport:
 def certify_no_other_t(
     plane: IncidencePlane,
     t_values: Sequence[int] | None = None,
-    workers: int = 1,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> CertifyReport:
     """Search every t in range and compare against the closed-form classifier.
@@ -321,7 +280,7 @@ def certify_no_other_t(
             entries.append(CertifyEntry(t, False, None, 0, {}, True, _expected_name(expected, t)))
             continue
         res = exhaustive_extremal_search(
-            SearchTask(plane, t, workers=workers, node_budget=node_budget)
+            SearchTask(plane, t, node_budget=node_budget)
         )
         fams = Counter(characterize(plane, ps, t).value for ps in res.sets)
         entries.append(

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -15,6 +16,7 @@ from blocksets import (
     max_size_bound,
     spectrum,
 )
+from blocksets.search import DEFAULT_NODE_BUDGET
 
 
 def _indices(result):
@@ -73,6 +75,14 @@ def test_prune_safety_on_fano(t):
     brute = exhaustive_extremal_search(SearchTask(fano, t, pruning=False))
     assert _indices(pruned) == _indices(brute)
     assert pruned.complete and brute.complete
+    # the first-point symmetry restriction prunes exactly what the oracle skips
+    sigma = _fano_collineation(fano)
+    pruned = exhaustive_extremal_search(SearchTask(fano, t, symmetry=[sigma]))
+    brute = exhaustive_extremal_search(
+        SearchTask(fano, t, pruning=False, symmetry=[sigma])
+    )
+    assert _indices(pruned) == _indices(brute)
+    assert pruned.complete and brute.complete
 
 
 def test_prune_safety_on_pg23():
@@ -82,27 +92,54 @@ def test_prune_safety_on_pg23():
     assert _indices(pruned) == _indices(brute)
 
 
-def test_worker_count_does_not_change_results():
-    plane = support.desarguesian(3, 1)
-    one = exhaustive_extremal_search(SearchTask(plane, 3, workers=1))
-    two = exhaustive_extremal_search(SearchTask(plane, 3, workers=2))
-    four = exhaustive_extremal_search(SearchTask(plane, 3, workers=4))
-    assert _indices(one) == _indices(two) == _indices(four)
-    assert one.complete == two.complete == four.complete
-    assert one.nodes == two.nodes == four.nodes
-
-
 def test_budget_truncation_reports_incomplete():
     plane = support.desarguesian(2, 2)
     result = exhaustive_extremal_search(SearchTask(plane, 2, node_budget=64))
     assert not result.complete
+    assert result.nodes <= 64
+
+
+@pytest.mark.parametrize(
+    "k, t, pruning", [(2, 1, True), (1, 2, False)], ids=["pruned", "brute"]
+)
+def test_node_budget_is_global(k, t, pruning):
+    plane = support.desarguesian(2, k)  # PG(2,4) pruned, the Fano plane brute force
+    full = exhaustive_extremal_search(SearchTask(plane, t, pruning=pruning))
+    assert full.complete and full.sets
+    exact = exhaustive_extremal_search(
+        SearchTask(plane, t, pruning=pruning, node_budget=full.nodes)
+    )
+    assert exact.complete
+    assert exact.nodes == full.nodes
+    assert _indices(exact) == _indices(full)
+    short = exhaustive_extremal_search(
+        SearchTask(plane, t, pruning=pruning, node_budget=full.nodes - 1)
+    )
+    assert not short.complete
+    assert short.nodes == full.nodes - 1
+    for result, budget in ((full, DEFAULT_NODE_BUDGET), (exact, full.nodes),
+                           (short, full.nodes - 1)):
+        assert result.nodes <= budget
+
+
+def test_search_depth_is_not_bounded_by_recursion_limit():
+    plane = support.desarguesian(2, 4)  # PG(2,16), 273 points
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)  # fewer frames than points: one level per point fails
+    try:
+        result = exhaustive_extremal_search(SearchTask(plane, 16))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.complete
+    assert len(result.sets) == 273
 
 
 def _fano_collineation(plane):
-    """Brute-force a nontrivial line-preserving point permutation."""
+    """Brute-force a line-preserving point permutation that moves point 0,
+    so its orbit minima leave out some point a search would start from."""
     line_set = set(plane.lines)
     for perm in itertools.permutations(range(7)):
-        if perm == tuple(range(7)):
+        if perm[0] == 0:
             continue
         if all(tuple(sorted(perm[i] for i in pts)) in line_set for pts in plane.lines):
             return list(perm)
