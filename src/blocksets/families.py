@@ -89,11 +89,10 @@ def hermitian_unital(plane: IncidencePlane) -> PointSet:
     size q^3 + 1; every line meets it in 1 or q+1 points.
     """
     f = _require_square_coordinates(plane)
-    zero = f.zero
+    norm = [f.relative_norm(a) for a in f.elements()]
     mask = 0
     for idx, (x, y, z) in enumerate(plane.point_coords):
-        total = f.add(f.add(f.relative_norm(x), f.relative_norm(y)), f.relative_norm(z))
-        if total == zero:
+        if f.add(f.add(norm[x], norm[y]), norm[z]) == f.zero:
             mask |= 1 << idx
     return PointSet(plane, mask)
 
@@ -105,9 +104,10 @@ def baer_subplane(plane: IncidencePlane) -> PointSet:
     coordinate, so it does not depend on the choice of representative.
     """
     f = _require_square_coordinates(plane)
+    sub = [f.in_base_subfield(a) for a in f.elements()]
     mask = 0
     for idx, (x, y, z) in enumerate(plane.point_coords):
-        if f.in_base_subfield(x) and f.in_base_subfield(y) and f.in_base_subfield(z):
+        if sub[x] and sub[y] and sub[z]:
             mask |= 1 << idx
     return PointSet(plane, mask)
 

@@ -1,21 +1,27 @@
-"""Exact arithmetic in GF(p^k) with polynomial-basis elements.
+"""Exact arithmetic in GF(p^k), elements numbered 0 .. p^k - 1.
 
-Elements are coefficient tuples of length k over Z_p, constant term first.
-The reduction modulus is the lexicographically smallest monic irreducible
-polynomial of degree k (coefficients compared from the constant term
-upward), which pins one canonical model of GF(p^k) per (p, k) and keeps
-every downstream construction reproducible across runs.
+An element is an ``int``: the position of its coefficient vector over Z_p
+in the polynomial basis, vectors ordered lexicographically from the
+constant term, so 0 is zero and p^(k-1) is one.  ``FieldSpec.element`` and
+``FieldSpec.coeffs`` convert between the two.  Arithmetic is table lookup;
+the tables are built from polynomial multiplication and reduction on first
+use, which is the only other place polynomials appear.  The reduction
+modulus is the lexicographically smallest monic irreducible polynomial of
+degree k (coefficients compared from the constant term upward), which pins
+one canonical model of GF(p^k) per (p, k) and keeps every downstream
+construction reproducible across runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, NamedTuple
 
-FieldElement = tuple[int, ...]
+FieldElement = int
 
 MAX_EXTENSION_DEGREE = 16
 MAX_CHARACTERISTIC = 2**31
+MAX_TABLE_ORDER = 1024
 
 
 def is_prime(m: int) -> bool:
@@ -102,6 +108,14 @@ def _decode_lex(m: int, p: int, k: int) -> list[int]:
     return [(m // p ** (k - 1 - i)) % p for i in range(k)]
 
 
+def _encode_lex(coeffs, p: int) -> int:
+    """Position of a coefficient vector in constant-term-first lex order."""
+    idx = 0
+    for c in coeffs:
+        idx = idx * p + c
+    return idx
+
+
 def _is_irreducible(poly, p) -> bool:
     """Trial division by every monic polynomial of degree 1..deg/2."""
     k = len(poly) - 1
@@ -113,12 +127,20 @@ def _is_irreducible(poly, p) -> bool:
     return True
 
 
+class FieldTables(NamedTuple):
+    """Lookup tables over element indices; ``inv[0]`` is None."""
+
+    add: list[list[int]]
+    neg: list[int]
+    mul: list[list[int]]
+    inv: list[int | None]
+
+
 class FieldSpec:
     """Arithmetic context for GF(p^k) under a fixed irreducible modulus.
 
-    Instances are immutable after construction and all operations are pure
-    functions of their arguments, so a FieldSpec is safe to share between
-    concurrent tasks.
+    An element is its index (an ``int`` in ``range(order)``); every operation
+    is a lookup in tables built from the polynomial arithmetic on first use.
     """
 
     def __init__(self, prime_power: PrimePower, modulus: Iterable[int]):
@@ -135,7 +157,9 @@ class FieldSpec:
         self.k = k
         self.order = prime_power.q
         self.modulus = modulus
-        self._tables: tuple[list[list[int]], list[list[int]], list[int | None]] | None = None
+        self.zero: FieldElement = 0
+        self.one: FieldElement = p ** (k - 1)
+        self._tables: FieldTables | None = None
 
     def __eq__(self, other):
         return (
@@ -150,74 +174,81 @@ class FieldSpec:
     def __repr__(self):
         return f"FieldSpec(GF({self.order}), modulus={list(self.modulus)})"
 
-    # -- element plumbing ---------------------------------------------------
-
-    @property
-    def zero(self) -> FieldElement:
-        return (0,) * self.k
-
-    @property
-    def one(self) -> FieldElement:
-        return (1,) + (0,) * (self.k - 1)
+    # -- the bridge to coefficient vectors ------------------------------------
 
     def element(self, coeffs: Iterable[int]) -> FieldElement:
-        """Reduce an arbitrary coefficient vector into the field."""
+        """Index of an arbitrary coefficient vector (constant term first),
+        reduced modulo p and the modulus."""
         c = [int(v) % self.p for v in coeffs]
         if len(c) > self.k:
             c = _poly_rem(c, self.modulus, self.p)
         c.extend([0] * (self.k - len(c)))
-        return tuple(c)
+        return _encode_lex(c, self.p)
 
-    def element_at(self, index: int) -> FieldElement:
-        """Element at a position in constant-term-first lex order."""
-        if not 0 <= index < self.order:
+    def coeffs(self, a: FieldElement) -> tuple[int, ...]:
+        """Coefficient vector of an element, constant term first."""
+        if not 0 <= a < self.order:
             raise ValueError("element index out of range")
-        return tuple(_decode_lex(index, self.p, self.k))
+        return tuple(_decode_lex(a, self.p, self.k))
 
-    def index_of(self, a: FieldElement) -> int:
-        idx = 0
-        for c in a:
-            idx = idx * self.p + c
-        return idx
+    def elements(self) -> range:
+        return range(self.order)
 
-    def elements(self) -> Iterator[FieldElement]:
-        for i in range(self.order):
-            yield self.element_at(i)
+    # -- arithmetic -----------------------------------------------------------
 
-    # -- arithmetic ---------------------------------------------------------
+    def int_tables(self) -> FieldTables:
+        """The lookup tables of the field, built on first use and cached.
+
+        Each table has order^2 entries, so a field whose order exceeds
+        MAX_TABLE_ORDER can be made and converted but has no arithmetic.
+        """
+        if self._tables is None:
+            if self.order > MAX_TABLE_ORDER:
+                raise ValueError(
+                    f"field order {self.order} exceeds table cap {MAX_TABLE_ORDER}"
+                )
+            p, k, mod = self.p, self.k, self.modulus
+            vecs = [_decode_lex(i, p, k) for i in range(self.order)]
+            add = [
+                [_encode_lex([(x + y) % p for x, y in zip(a, b)], p) for b in vecs]
+                for a in vecs
+            ]
+            mul = [
+                [_encode_lex(_poly_rem(_poly_mul(a, b, p), mod, p), p) for b in vecs]
+                for a in vecs
+            ]
+            inv: list[int | None] = [None]
+            inv.extend(row.index(self.one) for row in mul[1:])
+            self._tables = FieldTables(add, [row.index(0) for row in add], mul, inv)
+        return self._tables
 
     def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        return self.int_tables().add[a][b]
 
     def neg(self, a: FieldElement) -> FieldElement:
-        p = self.p
-        return tuple((-x) % p for x in a)
+        return self.int_tables().neg[a]
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return tuple(_poly_rem(_poly_mul(a, b, self.p), self.modulus, self.p))
+        return self.int_tables().mul[a][b]
 
     def pow(self, a: FieldElement, e: int) -> FieldElement:
         """a**e for e >= 0, with pow(a, 0) == 1 (also for a == 0)."""
         if e < 0:
             raise ValueError("exponent must be non-negative")
+        mul = self.int_tables().mul
         result = self.one
-        base = a
         while e:
             if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = mul[result][a]
+            a = mul[a][a]
             e >>= 1
         return result
 
     def inv(self, a: FieldElement) -> FieldElement:
-        if a == self.zero:
+        inverse = self.int_tables().inv[a]
+        if inverse is None:
             raise ZeroDivisionError("inversion of zero")
-        return self.pow(a, self.order - 2)
+        return inverse
 
     def frobenius(self, a: FieldElement, m: int) -> FieldElement:
         """The automorphism a -> a^(p^m)."""
@@ -241,29 +272,6 @@ class FieldSpec:
         """True iff a^q == a, i.e. a lies in the index-2 subfield GF(q)."""
         q = self.base_subfield_order()
         return self.pow(a, q) == a
-
-    # -- integer-indexed tables ----------------------------------------------
-
-    def int_tables(self):
-        """(add, mul, inv) tables over element indices; built once, cached.
-
-        inv[0] is None.  Intended for exhaustive checks and bulk geometry
-        construction where per-call polynomial arithmetic would dominate.
-        """
-        if self._tables is None:
-            elems = [self.element_at(i) for i in range(self.order)]
-            add = [
-                [self.index_of(self.add(a, b)) for b in elems] for a in elems
-            ]
-            mul = [
-                [self.index_of(self.mul(a, b)) for b in elems] for a in elems
-            ]
-            one_idx = self.index_of(self.one)
-            inv: list[int | None] = [None] * self.order
-            for i in range(1, self.order):
-                inv[i] = mul[i].index(one_idx)
-            self._tables = (add, mul, inv)
-        return self._tables
 
 
 def make_field(p: int, k: int) -> FieldSpec:

@@ -1,10 +1,11 @@
 """Projective planes as explicit point/line incidence structures.
 
-Points and lines of PG(2, q) are homogeneous triples over GF(q), normalized
-so the first nonzero coordinate equals 1 and indexed in lexicographic order
-of the concatenated coefficient vectors.  Planes of arbitrary order can also
-be loaded from text files; only the Desarguesian constructor assumes
-coordinates exist.
+Points and lines of PG(2, q) are homogeneous triples of GF(q) element
+indices, normalized so the first nonzero coordinate equals 1 and numbered in
+lexicographic order: (0:0:1) is point 0, (0:1:z) is point 1+z and (1:y:z)
+is point 1+q+q*y+z, and line j is the dual of point j.  Planes of arbitrary
+order can also be loaded from text files; only the Desarguesian constructor
+assumes coordinates exist.
 """
 
 from __future__ import annotations
@@ -36,9 +37,8 @@ class AxiomReport:
 class IncidencePlane:
     """A projective plane of order n as indexed points and sorted line lists.
 
-    Immutable after construction; all queries are pure, so instances are safe
-    to share between concurrent tasks.  The point universe is 0 .. n^2+n, and
-    each line is stored as a sorted tuple of point indices together with a
+    Immutable after construction.  The point universe is 0 .. n^2+n, and each
+    line is stored as a sorted tuple of point indices together with a
     bitmask over the universe for fast intersection counting.
     """
 
@@ -109,60 +109,43 @@ class IncidencePlane:
 def build_desarguesian_plane(spec: FieldSpec) -> IncidencePlane:
     """Construct PG(2, q) over the given field.
 
-    Points are normalized homogeneous triples (first nonzero coordinate 1);
-    a line is the dual triple [a:b:c], incident with (x:y:z) exactly when
-    ax + by + cz = 0.  Both sides are indexed in lexicographic order of the
-    concatenated coefficient vectors, so two builds of the same field yield
-    identical structures.
+    Points are normalized homogeneous triples (first nonzero coordinate 1)
+    of element indices, numbered in lexicographic order of the triples:
+    (0:0:1) is point 0, (0:1:z) is point 1+z and (1:y:z) is point
+    1+q+q*y+z.  Line j is the dual triple [a:b:c] of point j, incident with
+    (x:y:z) exactly when ax + by + cz = 0, so two builds of the same field
+    yield identical structures.
     """
     q = spec.order
     if q > MAX_PLANE_FIELD_ORDER:
         raise ValueError(f"field order {q} exceeds plane cap {MAX_PLANE_FIELD_ORDER}")
-    add_t, mul_t, inv_t = spec.int_tables()
-    one = spec.index_of(spec.one)
-    neg_t = [add_t[i].index(0) for i in range(q)]
-
+    add, neg, mul, inv = spec.int_tables()
+    one = spec.one
     triples = [(0, 0, one)]
     triples.extend((0, one, z) for z in range(q))
     triples.extend((one, y, z) for y in range(q) for z in range(q))
-    triples.sort()
-    point_index = {t: i for i, t in enumerate(triples)}
 
-    def normalize(v):
-        for c in v:
-            if c:
-                iv = inv_t[c]
-                return (mul_t[v[0]][iv], mul_t[v[1]][iv], mul_t[v[2]][iv])
-        raise AssertionError("zero vector on a line")
-
+    # One int object per point, shared by the q+1 lines through it;
+    # affine[y][z] is the point (1:y:z).
+    point = list(range(q * q + q + 1))
+    affine = [point[1 + q + q * y : 1 + 2 * q + q * y] for y in range(q)]
     lines = []
     for a, b, c in triples:
-        if a == one:
-            v1 = (neg_t[b], one, 0)
-            v2 = (neg_t[c], 0, one)
-        elif b == one:
-            v1 = (one, 0, 0)
-            v2 = (0, neg_t[c], one)
+        if c:
+            # z = m*(a*x + b*y) with m = -1/c, for (0:1:z) and each (1:y:z)
+            add_a, row_b, row_m = add[a], mul[b], mul[neg[inv[c]]]
+            on_line = [point[1 + row_m[b]]]
+            on_line += [pts_y[row_m[add_a[b_y]]] for pts_y, b_y in zip(affine, row_b)]
+        elif b:
+            # (0:0:1) and the points (1:y:z) with y = -a/b
+            on_line = [point[0], *affine[mul[neg[a]][inv[b]]]]
         else:
-            v1 = (one, 0, 0)
-            v2 = (0, one, 0)
-        on_line = {point_index[normalize(v1)]}
-        for lam in range(q):
-            w = (
-                add_t[v2[0]][mul_t[lam][v1[0]]],
-                add_t[v2[1]][mul_t[lam][v1[1]]],
-                add_t[v2[2]][mul_t[lam][v1[2]]],
-            )
-            on_line.add(point_index[normalize(w)])
-        if len(on_line) != q + 1:
+            # the line x = 0
+            on_line = point[: q + 1]
+        if len(set(on_line)) != q + 1:
             raise AssertionError("line does not carry q+1 points")
-        lines.append(sorted(on_line))
-
-    coords = [
-        (spec.element_at(x), spec.element_at(y), spec.element_at(z))
-        for x, y, z in triples
-    ]
-    return IncidencePlane(q, lines, fieldspec=spec, point_coords=coords)
+        lines.append(on_line)
+    return IncidencePlane(q, lines, fieldspec=spec, point_coords=triples)
 
 
 _MAX_REPORTED_FAILURES = 25

@@ -1,10 +1,12 @@
 """Shared oracles and exhaustive checkers for the test suite.
 
 Everything here is deliberately independent of the implementation paths it
-checks: reducibility is decided by multiplying smaller polynomials, planes
-come from an XOR construction, plane axioms are checked by counting the
-lines through every pair of points, and equality solutions are found by
-plain two-dimensional enumeration.
+checks: reducibility is decided by multiplying smaller polynomials; field
+arithmetic, PG(2, q), the unital and the Baer subplane are recomputed on
+coefficient tuples by plain enumeration; a plane also comes from an XOR
+construction; plane axioms are checked by counting the lines through every
+pair of points; and equality solutions are found by plain two-dimensional
+enumeration.
 """
 
 from __future__ import annotations
@@ -59,15 +61,85 @@ def irreducible_monics_by_products(p, k):
     return [f for f in monic_polys(p, k) if f not in reducible]
 
 
+class TupleField:
+    """The field of a FieldSpec on coefficient tuples (constant term first),
+    by schoolbook multiplication and reduction under the spec's modulus: the
+    reference the index tables of FieldSpec are checked against."""
+
+    def __init__(self, spec: FieldSpec):
+        self.p = spec.p
+        self.modulus = spec.modulus
+        self.k = len(self.modulus) - 1
+        self.elements = list(itertools.product(range(self.p), repeat=self.k))
+        self.zero = (0,) * self.k
+        self.one = (1,) + (0,) * (self.k - 1)
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        p, k, mod = self.p, self.k, self.modulus
+        prod = list(_poly_mul_mod(a, b, p))
+        for i in range(len(prod) - 1, k - 1, -1):
+            c = prod[i]
+            for j in range(k + 1):
+                prod[i - k + j] = (prod[i - k + j] - c * mod[j]) % p
+        return tuple(prod[:k])
+
+    def pow(self, a, e):
+        out = self.one
+        for _ in range(e):
+            out = self.mul(out, a)
+        return out
+
+
+def normalized_triples(f: TupleField):
+    """Points of PG(2, q) as sorted triples whose first nonzero entry is one."""
+    return sorted(
+        t
+        for t in itertools.product(f.elements, repeat=3)
+        if next((c for c in t if c != f.zero), None) == f.one
+    )
+
+
+def desarguesian_lines_by_enumeration(f: TupleField):
+    """Line j of PG(2, q) is the dual of point j: the sorted indices i with
+    <point j, point i> = 0."""
+    pts = normalized_triples(f)
+
+    def dot(u, v):
+        total = f.zero
+        for a, b in zip(u, v):
+            total = f.add(total, f.mul(a, b))
+        return total
+
+    return [tuple(i for i, pt in enumerate(pts) if dot(line, pt) == f.zero) for line in pts]
+
+
+def unital_and_baer_masks_by_enumeration(f: TupleField):
+    """Masks of N(x)+N(y)+N(z) = 0 and of the points with coordinates fixed
+    by a -> a^r, where r^2 = q and N(a) = a^(r+1)."""
+    r = f.p ** (f.k // 2)
+    unital = baer = 0
+    for i, pt in enumerate(normalized_triples(f)):
+        total = f.zero
+        for c in pt:
+            total = f.add(total, f.mul(c, f.pow(c, r)))
+        if total == f.zero:
+            unital |= 1 << i
+        if all(f.pow(c, r) == c for c in pt):
+            baer |= 1 << i
+    return unital, baer
+
+
 # -- field axiom checkers -----------------------------------------------------
 
 
 def check_field_axioms(spec: FieldSpec):
     """Exhaustive triple enumeration of the field axioms via index tables."""
-    add_t, mul_t, inv_t = spec.int_tables()
+    add_t, neg_t, mul_t, inv_t = spec.int_tables()
     q = spec.order
-    zero = spec.index_of(spec.zero)
-    one = spec.index_of(spec.one)
+    zero, one = spec.zero, spec.one
     assert zero == 0
     elems = range(q)
 
@@ -91,17 +163,16 @@ def check_field_axioms(spec: FieldSpec):
 
     for a in elems:
         assert add_t[a].count(zero) == 1
+        assert add_t[a][neg_t[a]] == zero
         if a != zero:
             assert mul_t[a][inv_t[a]] == one
 
 
 def check_frobenius_automorphism(spec: FieldSpec):
     """a -> a^p preserves both operations, exhaustively over the field."""
-    add_t, mul_t, _ = spec.int_tables()
+    add_t, _, mul_t, _ = spec.int_tables()
     q = spec.order
-    frob = [
-        spec.index_of(spec.frobenius(spec.element_at(i), 1)) for i in range(q)
-    ]
+    frob = [spec.frobenius(a, 1) for a in range(q)]
     for a in range(q):
         for b in range(q):
             assert frob[add_t[a][b]] == add_t[frob[a]][frob[b]]

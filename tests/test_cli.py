@@ -3,7 +3,7 @@ import json
 import pytest
 
 import support
-from blocksets import load_point_set, save_plane, save_point_set
+from blocksets import FieldSpec, load_point_set, save_plane, save_point_set
 from blocksets.cli import _build_parser, main
 from blocksets.families import PointSet
 
@@ -103,6 +103,20 @@ def test_construct_requires_square_for_unital(capsys):
 def test_construct_rejects_non_prime_power(capsys):
     code, _, err = run(capsys, "construct", "minus-point", "6")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "family,q", [("minus-point", "1000003"), ("minus-point", "2147483647"), ("unital", "169")]
+)
+def test_construct_over_plane_cap_builds_no_table(capsys, monkeypatch, family, q):
+    def no_tables(spec):
+        raise AssertionError(f"tables of GF({spec.order}) requested")
+
+    monkeypatch.setattr(FieldSpec, "int_tables", no_tables)
+    code, out, err = run(capsys, "construct", family, q)
+    assert code == 2
+    assert out == ""
+    assert "exceeds plane cap" in err
 
 
 def test_construct_then_verify_round_trip(tmp_path, capsys):

@@ -30,6 +30,16 @@ def test_unital_spectra():
     assert set(spectrum(p9, hermitian_unital(p9))) == {1, 4}
 
 
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 4)])
+def test_family_masks_match_tuple_oracle(p, k):
+    plane = support.desarguesian(p, k)
+    unital, baer = support.unital_and_baer_masks_by_enumeration(
+        support.TupleField(plane.field)
+    )
+    assert hermitian_unital(plane).mask == unital
+    assert baer_subplane(plane).mask == baer
+
+
 def test_baer_subplane_sizes_and_spectra():
     p4 = support.desarguesian(2, 2)
     b4 = baer_subplane(p4)

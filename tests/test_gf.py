@@ -167,10 +167,34 @@ def test_field_axioms_small_fields():
 def test_element_index_round_trip():
     f = support.field(3, 2)
     for i in range(f.order):
-        assert f.index_of(f.element_at(i)) == i
+        assert f.element(f.coeffs(i)) == i
     # index order matches constant-term-first lex order on coefficients
-    elems = list(f.elements())
-    assert elems == sorted(elems)
+    vectors = [f.coeffs(i) for i in f.elements()]
+    assert vectors == sorted(vectors)
+    assert (f.zero, f.one) == (0, 3)
+    with pytest.raises(ValueError):
+        f.coeffs(f.order)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 6)])
+def test_table_arithmetic_matches_tuple_oracle(p, k):
+    spec = support.field(p, k)
+    oracle = support.TupleField(spec)
+    elems = oracle.elements
+    assert [spec.coeffs(i) for i in spec.elements()] == elems
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            assert elems[spec.add(i, j)] == oracle.add(a, b)
+            assert elems[spec.mul(i, j)] == oracle.mul(a, b)
+
+
+def test_tables_are_built_on_first_use():
+    f = make_field(1000003, 1)
+    assert f._tables is None
+    assert f.element([5]) == 5 and f.coeffs(7) == (7,)
+    with pytest.raises(ValueError, match="table cap"):
+        f.add(1, 2)
+    assert f._tables is None
 
 
 def test_element_reduces_long_vectors():

@@ -52,6 +52,17 @@ def test_build_is_deterministic():
     assert a.point_coords == b.point_coords
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_lines_match_tuple_oracle(p, k):
+    plane = support.desarguesian(p, k)
+    oracle = support.TupleField(plane.field)
+    assert list(plane.lines) == support.desarguesian_lines_by_enumeration(oracle)
+    elems = oracle.elements
+    assert [tuple(elems[c] for c in pt) for pt in plane.point_coords] == (
+        support.normalized_triples(oracle)
+    )
+
+
 def test_field_too_large_rejected():
     with pytest.raises(ValueError):
         build_desarguesian_plane(support.field(131, 1))
