@@ -24,7 +24,6 @@ from .extremal import (
 from .families import (
     baer_complement,
     baer_subplane,
-    characterize,
     hermitian_unital,
     load_point_set,
     plane_minus_point,
@@ -32,7 +31,13 @@ from .families import (
 )
 from .gf import make_field
 from .plane import PlaneFormatError, build_desarguesian_plane, load_plane, save_plane
-from .search import SearchTask, certify_no_other_t, exhaustive_extremal_search
+from .search import (
+    DEFAULT_NODE_BUDGET,
+    SearchTask,
+    certify_no_other_t,
+    exhaustive_extremal_search,
+    family_tally,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -84,14 +89,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive search for extremal sets in a plane file")
     p.add_argument("--plane", required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--size", type=int, default=None)
-    p.add_argument("--budget", type=int, default=10**9)
-    p.add_argument("--no-prune", action="store_true")
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--output", help="directory for found point-set files")
 
     p = sub.add_parser("certify", help="desk-scale certification for PG(2, q), q <= 4")
     p.add_argument("q", type=int)
-    p.add_argument("--budget", type=int, default=10**9)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--json", action="store_true")
 
     return parser
@@ -269,19 +272,8 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_search(args) -> int:
     plane = load_plane(args.plane)
-    task = SearchTask(
-        plane,
-        args.t,
-        size=args.size,
-        pruning=not args.no_prune,
-        node_budget=args.budget,
-    )
-    result = exhaustive_extremal_search(task)
+    result = exhaustive_extremal_search(SearchTask(plane, args.t, node_budget=args.budget))
     bv = max_size_bound(plane.order, args.t)
-    families: dict[str, int] = {}
-    for ps in result.sets:
-        label = characterize(plane, ps, args.t).value
-        families[label] = families.get(label, 0) + 1
     if args.output:
         os.makedirs(args.output, exist_ok=True)
         for idx, ps in enumerate(result.sets):
@@ -293,7 +285,7 @@ def _cmd_search(args) -> int:
                 "size": bv.bound if bv.attainable else None,
                 "found": len(result.sets),
                 "complete": result.complete,
-                "families": dict(sorted(families.items())),
+                "families": family_tally(plane, result.sets, args.t),
             }
         )
     )
@@ -311,7 +303,7 @@ def _cmd_certify(args) -> int:
         print(json.dumps(report.as_dict()))
     else:
         for e in report.entries:
-            fams = ",".join(f"{k}:{v}" for k, v in sorted(e.families.items())) or "-"
+            fams = ",".join(f"{k}:{v}" for k, v in e.families.items()) or "-"
             print(
                 f"t={e.t} attainable={_bool(e.attainable)} found={e.found} "
                 f"complete={_bool(e.complete)} families={fams} "

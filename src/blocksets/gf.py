@@ -187,12 +187,18 @@ class FieldSpec:
 
     def coeffs(self, a: FieldElement) -> tuple[int, ...]:
         """Coefficient vector of an element, constant term first."""
-        if not 0 <= a < self.order:
-            raise ValueError("element index out of range")
+        self._check(a)
         return tuple(_decode_lex(a, self.p, self.k))
 
     def elements(self) -> range:
         return range(self.order)
+
+    def _check(self, *elems: FieldElement) -> None:
+        """Reject an index outside range(order), which list indexing would
+        wrap (negative) or fail on with IndexError."""
+        for a in elems:
+            if not 0 <= a < self.order:
+                raise ValueError(f"element index {a} out of range")
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -223,18 +229,22 @@ class FieldSpec:
         return self._tables
 
     def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
+        self._check(a, b)
         return self.int_tables().add[a][b]
 
     def neg(self, a: FieldElement) -> FieldElement:
+        self._check(a)
         return self.int_tables().neg[a]
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
+        self._check(a, b)
         return self.int_tables().mul[a][b]
 
     def pow(self, a: FieldElement, e: int) -> FieldElement:
         """a**e for e >= 0, with pow(a, 0) == 1 (also for a == 0)."""
         if e < 0:
             raise ValueError("exponent must be non-negative")
+        self._check(a)
         mul = self.int_tables().mul
         result = self.one
         while e:
@@ -245,6 +255,7 @@ class FieldSpec:
         return result
 
     def inv(self, a: FieldElement) -> FieldElement:
+        self._check(a)
         inverse = self.int_tables().inv[a]
         if inverse is None:
             raise ZeroDivisionError("inversion of zero")

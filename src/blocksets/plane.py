@@ -39,7 +39,8 @@ class IncidencePlane:
 
     Immutable after construction.  The point universe is 0 .. n^2+n, and each
     line is stored as a sorted tuple of point indices together with a
-    bitmask over the universe for fast intersection counting.
+    bitmask over the universe for fast intersection counting.  A point
+    index out of range or a line that repeats a point raises ValueError.
     """
 
     def __init__(
@@ -66,6 +67,8 @@ class IncidencePlane:
             for i in pts:
                 mask |= 1 << i
                 through[i].append(j)
+            if mask.bit_count() != len(pts):
+                raise ValueError(f"line {j} repeats a point")
             checked.append(pts)
             masks.append(mask)
         self.lines: tuple[tuple[int, ...], ...] = tuple(checked)
@@ -181,8 +184,6 @@ def _lines_cover_from_every_point(plane: IncidencePlane) -> bool:
     if plane.num_lines != n * n + n + 1:
         return False
     if any(len(pts) != n + 1 for pts in plane.lines):
-        return False
-    if any(m.bit_count() != n + 1 for m in plane.line_masks):
         return False
     if any(len(ls) != n + 1 for ls in plane.point_lines):
         return False

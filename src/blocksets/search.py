@@ -13,7 +13,6 @@ when the search finished.
 
 from __future__ import annotations
 
-import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -31,15 +30,13 @@ DEFAULT_NODE_BUDGET = 10**9
 class SearchTask:
     """One extremal search: find all minimal t-fold blocking sets of size m.
 
-    m defaults to the attainable bound for (order, t); a task whose bound is
-    not attainable, or whose explicit size differs from it, is vacuous and
-    returns an empty, complete result immediately.
+    m is the bound for (order, t); a task whose bound is not attainable is
+    vacuous (no set has that size) and returns an empty, complete result
+    immediately.
     """
 
     plane: IncidencePlane
     t: int
-    size: int | None = None
-    pruning: bool = True
     node_budget: int = DEFAULT_NODE_BUDGET
     symmetry: Sequence[Sequence[int]] | None = None
 
@@ -169,7 +166,7 @@ def exhaustive_extremal_search(task: SearchTask) -> SearchResult:
     if task.node_budget < 1:
         raise ValueError("node budget must be positive")
     bv = max_size_bound(plane.order, t)
-    if not bv.attainable or (task.size is not None and task.size != bv.bound):
+    if not bv.attainable:
         return SearchResult([], 0, time.perf_counter() - start, True)
     m, b = bv.bound, bv.b
 
@@ -178,33 +175,11 @@ def exhaustive_extremal_search(task: SearchTask) -> SearchResult:
         _check_symmetry(plane, task.symmetry)
         first_points = _orbit_minima(plane.num_points, task.symmetry)
 
-    search = _pruned_search if task.pruning else _brute_force
-    sets, nodes, complete = search(plane, t, m, b, task.node_budget, first_points)
+    sets, nodes, complete = _pruned_search(
+        plane, t, m, b, task.node_budget, first_points
+    )
     sets.sort(key=lambda ps: ps.indices())
     return SearchResult(sets, nodes, time.perf_counter() - start, complete)
-
-
-def _brute_force(plane, t, m, b, budget, first_points):
-    """Unpruned oracle: filter every size-m subset through the verifier.
-
-    Each subset is one node; like the pruned search, it stops before visiting
-    node budget + 1.
-    """
-    found = []
-    nodes = 0
-    for combo in itertools.combinations(range(plane.num_points), m):
-        if nodes == budget:
-            return found, nodes, False
-        nodes += 1
-        if first_points is not None and combo[0] not in first_points:
-            continue
-        mask = 0
-        for i in combo:
-            mask |= 1 << i
-        ps = _validate_extremal(plane, mask, t, b)
-        if ps is not None:
-            found.append(ps)
-    return found, nodes, True
 
 
 @dataclass
@@ -215,7 +190,7 @@ class CertifyEntry:
     attainable: bool
     size: int | None
     found: int
-    families: dict[str, int]
+    families: dict[str, int]  # family_tally of the sets
     complete: bool
     expected_family: str | None
     sets: list[PointSet] = field(default_factory=list, repr=False)
@@ -227,7 +202,7 @@ class CertifyEntry:
             "size": self.size,
             "found": self.found,
             "complete": self.complete,
-            "families": dict(sorted(self.families.items())),
+            "families": dict(self.families),
             "expected_family": self.expected_family,
         }
 
@@ -250,12 +225,15 @@ class CertifyReport:
         }
 
 
+def family_tally(plane: IncidencePlane, sets: Sequence[PointSet], t: int) -> dict[str, int]:
+    """How many sets carry each ``characterize`` label, labels in sorted order."""
+    return dict(sorted(Counter(characterize(plane, ps, t).value for ps in sets).items()))
+
+
 def certify_no_other_t(
-    plane: IncidencePlane,
-    t_values: Sequence[int] | None = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    plane: IncidencePlane, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> CertifyReport:
-    """Search every t in range and compare against the closed-form classifier.
+    """Search every t in 1..n and compare against the closed-form classifier.
 
     Unattainable bounds short-circuit without searching.  matches_theory is
     True only when every search ran to exhaustion, sets were found exactly at
@@ -264,8 +242,6 @@ def certify_no_other_t(
     matches_theory is None.
     """
     n = plane.order
-    if t_values is None:
-        t_values = range(1, n + 1)
     try:
         expected: dict[int, FamilyLabel] | None = {
             e.t: e.family for e in classify_prime_power(n)
@@ -274,7 +250,7 @@ def certify_no_other_t(
         expected = None
 
     entries = []
-    for t in t_values:
+    for t in range(1, n + 1):
         bv = max_size_bound(n, t)
         if not bv.attainable:
             entries.append(CertifyEntry(t, False, None, 0, {}, True, _expected_name(expected, t)))
@@ -282,14 +258,13 @@ def certify_no_other_t(
         res = exhaustive_extremal_search(
             SearchTask(plane, t, node_budget=node_budget)
         )
-        fams = Counter(characterize(plane, ps, t).value for ps in res.sets)
         entries.append(
             CertifyEntry(
                 t,
                 True,
                 bv.bound,
                 len(res.sets),
-                dict(fams),
+                family_tally(plane, res.sets, t),
                 res.complete,
                 _expected_name(expected, t),
                 sets=res.sets,
@@ -301,8 +276,7 @@ def certify_no_other_t(
     else:
         matches = all(e.complete for e in entries)
         found_t = {e.t for e in entries if e.found}
-        predicted_t = {t for t in expected if t in set(t_values)}
-        matches = matches and found_t == predicted_t
+        matches = matches and found_t == set(expected)
         for e in entries:
             if e.found and matches:
                 matches = e.families == {expected[e.t].value: e.found}

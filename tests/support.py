@@ -5,15 +5,26 @@ checks: reducibility is decided by multiplying smaller polynomials; field
 arithmetic, PG(2, q), the unital and the Baer subplane are recomputed on
 coefficient tuples by plain enumeration; a plane also comes from an XOR
 construction; plane axioms are checked by counting the lines through every
-pair of points; and equality solutions are found by plain two-dimensional
-enumeration.
+pair of points; equality solutions are found by plain two-dimensional
+enumeration; and extremal sets are found by filtering every subset of the
+bound's size through the public verifiers, with no prune.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from blocksets import FieldSpec, build_desarguesian_plane, make_field
+from blocksets import (
+    FieldSpec,
+    PointSet,
+    build_desarguesian_plane,
+    is_minimal,
+    is_t_fold_blocking,
+    is_two_valued,
+    make_field,
+    max_size_bound,
+    spectrum,
+)
 
 _plane_cache: dict[int, object] = {}
 _field_cache: dict[tuple[int, int], FieldSpec] = {}
@@ -204,6 +215,29 @@ def plane_axioms_hold_by_pair_sets(order, lines):
         if sum(1 for s in sets if a in s and b in s) != 1:
             return False
     return True
+
+
+# -- prune-safety oracle for the search ---------------------------------------
+
+
+def extremal_sets_by_enumeration(plane, t):
+    """Index tuples, in lexicographic order, of every subset whose size is
+    the attainable bound for (order, t) that is a minimal t-fold blocking set
+    with the two-valued spectrum {t, b+1}: plain subset enumeration, with no
+    prune and no node budget.  An unattainable bound has no such set."""
+    bv = max_size_bound(plane.order, t)
+    if not bv.attainable:
+        return []
+    found = []
+    for combo in itertools.combinations(range(plane.num_points), bv.bound):
+        ps = PointSet.from_indices(plane, combo)
+        if (
+            is_t_fold_blocking(plane, ps, t)
+            and is_minimal(plane, ps, t)
+            and is_two_valued(spectrum(plane, ps), t, bv.b)
+        ):
+            found.append(combo)
+    return found
 
 
 # -- equality-condition oracle -------------------------------------------------

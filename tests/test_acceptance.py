@@ -129,10 +129,10 @@ def test_criterion_6_prune_safety():
     with criterion(6, "pruned search equals unpruned subset enumeration on PG(2,2)"):
         fano = support.desarguesian(2, 1)
         for t in (1, 2):
-            pruned = exhaustive_extremal_search(SearchTask(fano, t, pruning=True))
-            brute = exhaustive_extremal_search(SearchTask(fano, t, pruning=False))
-            assert [s.indices() for s in pruned.sets] == [s.indices() for s in brute.sets]
-            assert pruned.complete and brute.complete
+            pruned = exhaustive_extremal_search(SearchTask(fano, t))
+            brute = support.extremal_sets_by_enumeration(fano, t)
+            assert [s.indices() for s in pruned.sets] == brute
+            assert pruned.complete
 
 
 def test_criterion_7_field_and_plane_property_suites():

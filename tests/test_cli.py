@@ -282,6 +282,14 @@ def test_search_unattainable_summary(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("option", [["--size", "5"], ["--no-prune"]])
+def test_search_rejects_removed_options(plane_files, capsys, option):
+    code, out, err = run(capsys, "search", "--plane", plane_files["fano"], "--t", "2", *option)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
 def test_certify_command(capsys):
     code, out, _ = run(capsys, "certify", "2", "--json")
     assert code == 0

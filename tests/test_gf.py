@@ -201,3 +201,20 @@ def test_element_reduces_long_vectors():
     f = support.field(2, 2)
     # x^2 + x + 1 is the modulus, so x^2 == x + 1
     assert f.element([0, 0, 1]) == f.element([1, 1])
+
+
+def test_arithmetic_rejects_out_of_range_operands():
+    f = support.field(2, 2)
+    unary = [f.neg, f.inv, lambda a: f.pow(a, 2), lambda a: f.frobenius(a, 1),
+             f.relative_norm, f.in_base_subfield]
+    for bad in (-1, -4, f.order, 99):
+        for op in (f.add, f.mul):
+            with pytest.raises(ValueError, match="out of range"):
+                op(bad, 0)
+            with pytest.raises(ValueError, match="out of range"):
+                op(2, bad)
+        for op in unary:
+            with pytest.raises(ValueError, match="out of range"):
+                op(bad)
+        with pytest.raises(ValueError, match="out of range"):
+            f.coeffs(bad)

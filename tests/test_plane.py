@@ -228,6 +228,11 @@ def test_corrupted_plane_reports_pair_walk_failures(p, k, corrupt):
     lines = [list(l) for l in support.desarguesian(p, k).lines]
     corrupt(lines)
     order = p**k
+    if corrupt is _repeat_index_in_line:
+        assert not support.plane_axioms_hold_by_pair_sets(order, lines)
+        with pytest.raises(ValueError, match="line 0 repeats a point"):
+            IncidencePlane(order, lines)
+        return
     broken = IncidencePlane(order, lines)
     report = verify_plane_axioms(broken)
     assert report.ok == support.plane_axioms_hold_by_pair_sets(order, lines)
@@ -240,16 +245,26 @@ def test_corrupted_plane_reports_pair_walk_failures(p, k, corrupt):
 def test_random_corruptions_agree_with_oracle_and_pair_walk():
     rng = random.Random(7)
     base = support.desarguesian(3, 1)
+    repeats = 0
     for _ in range(150):
         lines = [list(l) for l in base.lines]
         for _ in range(rng.randint(1, 2)):
             j, j2 = rng.randrange(13), rng.randrange(13)
             a, b = rng.randrange(4), rng.randrange(4)
             lines[j][a], lines[j2][b] = lines[j2][b], lines[j][a]
+        holds = support.plane_axioms_hold_by_pair_sets(3, lines)
+        repeated = [j for j, pts in enumerate(lines) if len(set(pts)) < len(pts)]
+        if repeated:
+            repeats += 1
+            assert not holds
+            with pytest.raises(ValueError, match=f"line {repeated[0]} repeats a point"):
+                IncidencePlane(3, lines)
+            continue
         plane = IncidencePlane(3, lines)
         report = verify_plane_axioms(plane)
-        assert report.ok == support.plane_axioms_hold_by_pair_sets(3, lines)
+        assert report.ok == holds
         assert report.failures == plane_module._pair_walk_failures(plane)
+    assert 0 < repeats < 150
 
 
 def test_valid_plane_never_enters_pair_walk(tmp_path, monkeypatch):

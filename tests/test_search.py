@@ -54,12 +54,6 @@ def test_unattainable_bound_is_vacuous():
     assert result.nodes == 0
 
 
-def test_size_override_must_match_bound():
-    fano = support.desarguesian(2, 1)
-    assert exhaustive_extremal_search(SearchTask(fano, 2, size=6)).sets
-    assert not exhaustive_extremal_search(SearchTask(fano, 2, size=5)).sets
-
-
 def test_invalid_t_raises():
     fano = support.desarguesian(2, 1)
     with pytest.raises(ValueError):
@@ -71,25 +65,23 @@ def test_invalid_t_raises():
 @pytest.mark.parametrize("t", [1, 2])
 def test_prune_safety_on_fano(t):
     fano = support.desarguesian(2, 1)
-    pruned = exhaustive_extremal_search(SearchTask(fano, t, pruning=True))
-    brute = exhaustive_extremal_search(SearchTask(fano, t, pruning=False))
-    assert _indices(pruned) == _indices(brute)
-    assert pruned.complete and brute.complete
-    # the first-point symmetry restriction prunes exactly what the oracle skips
+    oracle = support.extremal_sets_by_enumeration(fano, t)
+    pruned = exhaustive_extremal_search(SearchTask(fano, t))
+    assert _indices(pruned) == oracle
+    assert pruned.complete
+    # the first-point symmetry restriction keeps exactly the oracle's sets
+    # whose first point is the smallest of its sigma-cycle
     sigma = _fano_collineation(fano)
     pruned = exhaustive_extremal_search(SearchTask(fano, t, symmetry=[sigma]))
-    brute = exhaustive_extremal_search(
-        SearchTask(fano, t, pruning=False, symmetry=[sigma])
-    )
-    assert _indices(pruned) == _indices(brute)
-    assert pruned.complete and brute.complete
+    minima = _cycle_minima(sigma)
+    assert _indices(pruned) == [s for s in oracle if s[0] in minima]
+    assert pruned.complete
 
 
 def test_prune_safety_on_pg23():
     plane = support.desarguesian(3, 1)
-    pruned = exhaustive_extremal_search(SearchTask(plane, 3, pruning=True))
-    brute = exhaustive_extremal_search(SearchTask(plane, 3, pruning=False))
-    assert _indices(pruned) == _indices(brute)
+    pruned = exhaustive_extremal_search(SearchTask(plane, 3))
+    assert _indices(pruned) == support.extremal_sets_by_enumeration(plane, 3)
 
 
 def test_budget_truncation_reports_incomplete():
@@ -99,21 +91,19 @@ def test_budget_truncation_reports_incomplete():
     assert result.nodes <= 64
 
 
-@pytest.mark.parametrize(
-    "k, t, pruning", [(2, 1, True), (1, 2, False)], ids=["pruned", "brute"]
-)
-def test_node_budget_is_global(k, t, pruning):
-    plane = support.desarguesian(2, k)  # PG(2,4) pruned, the Fano plane brute force
-    full = exhaustive_extremal_search(SearchTask(plane, t, pruning=pruning))
-    assert full.complete and full.sets
-    exact = exhaustive_extremal_search(
-        SearchTask(plane, t, pruning=pruning, node_budget=full.nodes)
-    )
+@pytest.mark.parametrize("k, t", [(2, 4)], ids=["pruned"])
+def test_node_budget_is_global(k, t):
+    plane = support.desarguesian(2, k)
+    full = exhaustive_extremal_search(SearchTask(plane, t))
+    assert full.complete
+    assert _indices(full) == support.extremal_sets_by_enumeration(plane, t)
+    assert full.sets
+    exact = exhaustive_extremal_search(SearchTask(plane, t, node_budget=full.nodes))
     assert exact.complete
     assert exact.nodes == full.nodes
     assert _indices(exact) == _indices(full)
     short = exhaustive_extremal_search(
-        SearchTask(plane, t, pruning=pruning, node_budget=full.nodes - 1)
+        SearchTask(plane, t, node_budget=full.nodes - 1)
     )
     assert not short.complete
     assert short.nodes == full.nodes - 1
@@ -144,6 +134,20 @@ def _fano_collineation(plane):
         if all(tuple(sorted(perm[i] for i in pts)) in line_set for pts in plane.lines):
             return list(perm)
     raise AssertionError("Fano plane has plenty of collineations")
+
+
+def _cycle_minima(perm):
+    """The smallest point of each cycle of a permutation, i.e. its orbit minima."""
+    minima, seen = set(), set()
+    for start in range(len(perm)):
+        if start in seen:
+            continue
+        cycle = [start]
+        while perm[cycle[-1]] != start:
+            cycle.append(perm[cycle[-1]])
+        seen.update(cycle)
+        minima.add(min(cycle))
+    return minima
 
 
 def test_symmetry_restriction_is_sound():
@@ -208,10 +212,11 @@ def test_certify_report_dict_shape():
 
 
 def test_certify_characterizes_found_sets():
-    plane = support.desarguesian(2, 2)
-    report = certify_no_other_t(plane, t_values=[4])
-    entry = report.entries[0]
-    assert entry.found == 21
-    assert entry.families == {FamilyLabel.PLANE_MINUS_POINT.value: 21}
+    plane = support.desarguesian(3, 1)
+    report = certify_no_other_t(plane)
+    assert [e.t for e in report.entries] == [1, 2, 3]
+    entry = report.entries[2]
+    assert entry.found == 13
+    assert entry.families == {FamilyLabel.PLANE_MINUS_POINT.value: 13}
     for ps in entry.sets:
-        assert characterize(plane, ps, 4) is FamilyLabel.PLANE_MINUS_POINT
+        assert characterize(plane, ps, 3) is FamilyLabel.PLANE_MINUS_POINT
