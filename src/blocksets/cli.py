@@ -30,7 +30,13 @@ from .families import (
     save_point_set,
 )
 from .gf import make_field
-from .plane import PlaneFormatError, build_desarguesian_plane, load_plane, save_plane
+from .plane import (
+    PlaneFormatError,
+    build_desarguesian_plane,
+    check_plane_cap,
+    load_plane,
+    save_plane,
+)
 from .search import (
     DEFAULT_NODE_BUDGET,
     SearchTask,
@@ -127,6 +133,31 @@ def _cmd_bound(args) -> int:
     return EXIT_OK
 
 
+def _case_rows(n: int, params, classified: bool) -> list[dict]:
+    """One row per (t, b): its bound, and its family and case from case_trace
+    when n is a prime power, else Unclassified and no case."""
+    rows = []
+    for e in params:
+        family, case = "Unclassified", None
+        if classified:
+            trace = case_trace(n, e.t, e.b)
+            family, case = trace.family.value, trace.case
+        bound = max_size_bound(n, e.t).bound
+        rows.append({"t": e.t, "b": e.b, "bound": bound, "family": family, "case": case})
+    return rows
+
+
+def _print_rows(rows: list[dict], as_json: bool) -> None:
+    if as_json:
+        print(json.dumps(rows))
+        return
+    for row in rows:
+        print(
+            f"t={row['t']} b={row['b']} bound={row['bound']} "
+            f"family={row['family']} case={row['case'] or '-'}"
+        )
+
+
 def _cmd_classify(args) -> int:
     try:
         entries = classify_prime_power(args.q)
@@ -137,27 +168,7 @@ def _cmd_classify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    traces = {e.t: case_trace(args.q, e.t, e.b) for e in entries}
-    rows = []
-    for e in entries:
-        bv = max_size_bound(args.q, e.t)
-        rows.append(
-            {
-                "t": e.t,
-                "b": e.b,
-                "bound": bv.bound,
-                "family": e.family.value,
-                "case": traces[e.t].case,
-            }
-        )
-    if args.json:
-        print(json.dumps(rows))
-    else:
-        for row in rows:
-            print(
-                f"t={row['t']} b={row['b']} bound={row['bound']} "
-                f"family={row['family']} case={row['case']}"
-            )
+    _print_rows(_case_rows(args.q, entries, True), args.json)
     return EXIT_OK
 
 
@@ -168,28 +179,12 @@ def _cmd_candidates(args) -> int:
         PrimePower.from_order(args.n)
     except ValueError:
         prime_power = False
-    rows = []
-    for e in params:
-        bv = max_size_bound(args.n, e.t)
-        if prime_power:
-            trace = case_trace(args.n, e.t, e.b)
-            family, case = trace.family.value, trace.case
-        else:
-            family, case = "Unclassified", None
-        rows.append({"t": e.t, "b": e.b, "bound": bv.bound, "family": family, "case": case})
-    if args.json:
-        print(json.dumps(rows))
-    else:
-        for row in rows:
-            case = row["case"] if row["case"] is not None else "-"
-            print(
-                f"t={row['t']} b={row['b']} bound={row['bound']} "
-                f"family={row['family']} case={case}"
-            )
+    _print_rows(_case_rows(args.n, params, prime_power), args.json)
     return EXIT_OK
 
 
 def _cmd_construct(args) -> int:
+    check_plane_cap(args.q)
     pp = PrimePower.from_order(args.q)
     if args.family != "minus-point" and pp.k % 2:
         print(
@@ -273,7 +268,6 @@ def _cmd_spectrum(args) -> int:
 def _cmd_search(args) -> int:
     plane = load_plane(args.plane)
     result = exhaustive_extremal_search(SearchTask(plane, args.t, node_budget=args.budget))
-    bv = max_size_bound(plane.order, args.t)
     if args.output:
         os.makedirs(args.output, exist_ok=True)
         for idx, ps in enumerate(result.sets):
@@ -282,7 +276,7 @@ def _cmd_search(args) -> int:
         json.dumps(
             {
                 "t": args.t,
-                "size": bv.bound if bv.attainable else None,
+                "size": result.size,
                 "found": len(result.sets),
                 "complete": result.complete,
                 "families": family_tally(plane, result.sets, args.t),

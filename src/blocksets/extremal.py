@@ -160,10 +160,7 @@ def case_trace(q: int | PrimePower, t: int, b: int) -> CaseTrace:
     """Trace which case of the classification a solution (q, t, b) lands in."""
     pp = q if isinstance(q, PrimePower) else PrimePower.from_order(q)
     q, p = pp.q, pp.p
-    if not check_dagger(q, t, b):
-        raise ValueError(f"({q}, {t}, {b}) violates the quadratic condition")
-    if not check_star(q, t, b):
-        raise ValueError(f"({q}, {t}, {b}) violates the divisibility condition")
+    EqualityParams(q, t, b)  # raises unless both equality conditions hold
 
     d = b - t + 1
     h = 0

@@ -43,6 +43,10 @@ class SearchTask:
 
 @dataclass
 class SearchResult:
+    """What one search did.  ``size`` is the bound that was searched for, or
+    None when the bound is not attainable and nothing was searched."""
+
+    size: int | None
     sets: list[PointSet]
     nodes: int
     seconds: float
@@ -50,12 +54,14 @@ class SearchResult:
 
 
 def _validate_extremal(plane, mask, t, b):
-    """Leaf filter: accept only sets the blocking-module verifier certifies."""
+    """Leaf filter: accept only sets the blocking-module verifier certifies.
+
+    A spectrum with support {t, b+1} is already t-fold blocking, because
+    b >= t (D - (t+1)^2 = 4t(n-t) >= 0); is_minimal checks blocking again
+    before it decides minimality.
+    """
     ps = PointSet(plane, mask)
-    spec = blocking.spectrum(plane, ps)
-    if not blocking.is_two_valued(spec, t, b):
-        return None
-    if not blocking.is_t_fold_blocking(plane, ps, t):
+    if not blocking.is_two_valued(blocking.spectrum(plane, ps), t, b):
         return None
     if not blocking.is_minimal(plane, ps, t):
         return None
@@ -167,7 +173,7 @@ def exhaustive_extremal_search(task: SearchTask) -> SearchResult:
         raise ValueError("node budget must be positive")
     bv = max_size_bound(plane.order, t)
     if not bv.attainable:
-        return SearchResult([], 0, time.perf_counter() - start, True)
+        return SearchResult(None, [], 0, time.perf_counter() - start, True)
     m, b = bv.bound, bv.b
 
     first_points = None
@@ -179,7 +185,7 @@ def exhaustive_extremal_search(task: SearchTask) -> SearchResult:
         plane, t, m, b, task.node_budget, first_points
     )
     sets.sort(key=lambda ps: ps.indices())
-    return SearchResult(sets, nodes, time.perf_counter() - start, complete)
+    return SearchResult(m, sets, nodes, time.perf_counter() - start, complete)
 
 
 @dataclass
@@ -187,13 +193,16 @@ class CertifyEntry:
     """Search outcome for one multiplicity t."""
 
     t: int
-    attainable: bool
-    size: int | None
+    size: int | None  # SearchResult.size: None when the bound is not attainable
     found: int
     families: dict[str, int]  # family_tally of the sets
     complete: bool
     expected_family: str | None
     sets: list[PointSet] = field(default_factory=list, repr=False)
+
+    @property
+    def attainable(self) -> bool:
+        return self.size is not None
 
     def as_dict(self):
         return {
@@ -235,10 +244,11 @@ def certify_no_other_t(
 ) -> CertifyReport:
     """Search every t in 1..n and compare against the closed-form classifier.
 
-    Unattainable bounds short-circuit without searching.  matches_theory is
-    True only when every search ran to exhaustion, sets were found exactly at
-    the predicted t values, and every found set carries its predicted family
-    label.  For planes of non-prime-power order there is no prediction and
+    Each entry is built from one search, which returns at once, empty and
+    complete, where the bound is not attainable.  matches_theory is True
+    only when every search ran to exhaustion and its family tally is
+    {predicted label: found} at a predicted t and empty at every other t.
+    For planes of non-prime-power order there is no prediction and
     matches_theory is None.
     """
     n = plane.order
@@ -248,42 +258,28 @@ def certify_no_other_t(
         }
     except ValueError:
         expected = None
+    names = {t: family.value for t, family in (expected or {}).items()}
 
     entries = []
     for t in range(1, n + 1):
-        bv = max_size_bound(n, t)
-        if not bv.attainable:
-            entries.append(CertifyEntry(t, False, None, 0, {}, True, _expected_name(expected, t)))
-            continue
-        res = exhaustive_extremal_search(
-            SearchTask(plane, t, node_budget=node_budget)
-        )
+        res = exhaustive_extremal_search(SearchTask(plane, t, node_budget=node_budget))
         entries.append(
             CertifyEntry(
                 t,
-                True,
-                bv.bound,
+                res.size,
                 len(res.sets),
                 family_tally(plane, res.sets, t),
                 res.complete,
-                _expected_name(expected, t),
+                names.get(t),
                 sets=res.sets,
             )
         )
 
-    if expected is None:
-        matches = None
-    else:
-        matches = all(e.complete for e in entries)
-        found_t = {e.t for e in entries if e.found}
-        matches = matches and found_t == set(expected)
-        for e in entries:
-            if e.found and matches:
-                matches = e.families == {expected[e.t].value: e.found}
+    matches = None
+    if expected is not None:
+        matches = all(
+            e.complete
+            and e.families == ({e.expected_family: e.found} if e.expected_family else {})
+            for e in entries
+        )
     return CertifyReport(n, entries, expected, matches)
-
-
-def _expected_name(expected, t):
-    if expected is None or t not in expected:
-        return None
-    return expected[t].value

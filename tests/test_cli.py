@@ -3,7 +3,7 @@ import json
 import pytest
 
 import support
-from blocksets import FieldSpec, load_point_set, save_plane, save_point_set
+from blocksets import FieldSpec, PrimePower, load_point_set, save_plane, save_point_set
 from blocksets.cli import _build_parser, main
 from blocksets.families import PointSet
 
@@ -106,13 +106,26 @@ def test_construct_rejects_non_prime_power(capsys):
 
 
 @pytest.mark.parametrize(
-    "family,q", [("minus-point", "1000003"), ("minus-point", "2147483647"), ("unital", "169")]
+    "family,q",
+    [
+        ("minus-point", "1000003"),
+        ("minus-point", "2147483647"),
+        ("unital", "169"),
+        ("minus-point", "10000000000037"),
+        ("minus-point", "1000000000000037"),
+        ("minus-point", str(2**61 - 1)),
+        ("minus-point", "1000"),  # not a prime power: the cap still comes first
+    ],
 )
 def test_construct_over_plane_cap_builds_no_table(capsys, monkeypatch, family, q):
     def no_tables(spec):
         raise AssertionError(f"tables of GF({spec.order}) requested")
 
+    def no_factoring(order):
+        raise AssertionError(f"{order} factored")
+
     monkeypatch.setattr(FieldSpec, "int_tables", no_tables)
+    monkeypatch.setattr(PrimePower, "from_order", no_factoring)
     code, out, err = run(capsys, "construct", family, q)
     assert code == 2
     assert out == ""

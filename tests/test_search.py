@@ -16,6 +16,8 @@ from blocksets import (
     max_size_bound,
     spectrum,
 )
+from blocksets import search
+from blocksets.extremal import ExtremalValue
 from blocksets.search import DEFAULT_NODE_BUDGET
 
 
@@ -220,3 +222,54 @@ def test_certify_characterizes_found_sets():
     assert entry.families == {FamilyLabel.PLANE_MINUS_POINT.value: 13}
     for ps in entry.sets:
         assert characterize(plane, ps, 3) is FamilyLabel.PLANE_MINUS_POINT
+
+
+@pytest.mark.parametrize("k", [1, 2], ids=["pg22", "pg24"])
+def test_budget_truncated_certify_does_not_match_theory(k):
+    plane = support.desarguesian(2, k)
+    report = certify_no_other_t(plane, node_budget=5)
+    assert report.matches_theory is False
+    assert not all(e.complete for e in report.entries)
+
+
+@pytest.mark.parametrize(
+    "predicted",
+    [
+        # an extra predicted t: t=1 is searched, finds nothing, and should have
+        [ExtremalValue(1, 1, FamilyLabel.UNITAL),
+         ExtremalValue(2, 2, FamilyLabel.PLANE_MINUS_POINT)],
+        # the right t with the wrong family
+        [ExtremalValue(2, 2, FamilyLabel.UNITAL)],
+        # no predicted t: the sets found at t=2 are unpredicted
+        [],
+    ],
+    ids=["extra_t", "wrong_family", "missing_t"],
+)
+def test_certify_against_a_wrong_prediction_does_not_match(monkeypatch, predicted):
+    monkeypatch.setattr(search, "classify_prime_power", lambda n: predicted)
+    report = certify_no_other_t(support.desarguesian(2, 1))
+    assert report.matches_theory is False
+    assert all(e.complete for e in report.entries)
+    assert report.entries[1].families == {FamilyLabel.PLANE_MINUS_POINT.value: 7}
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2)], ids=["pg22", "pg23", "pg24"])
+def test_certify_entries_are_the_searches(p, k):
+    plane = support.desarguesian(p, k)
+    report = certify_no_other_t(plane)
+    assert [e.t for e in report.entries] == list(range(1, plane.order + 1))
+    for entry in report.entries:
+        direct = exhaustive_extremal_search(SearchTask(plane, entry.t))
+        assert entry.size == direct.size
+        assert entry.attainable == (direct.size is not None)
+        assert entry.complete == direct.complete
+        assert entry.found == len(direct.sets)
+        assert _indices(entry) == _indices(direct)
+
+
+def test_search_result_size_is_the_bound_searched_for():
+    plane = support.desarguesian(2, 2)
+    assert exhaustive_extremal_search(SearchTask(plane, 2)).size == 14
+    unattainable = exhaustive_extremal_search(SearchTask(plane, 3))
+    assert unattainable.size is None
+    assert (unattainable.nodes, unattainable.complete) == (0, True)
