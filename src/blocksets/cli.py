@@ -8,6 +8,7 @@ verification, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -95,12 +96,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive search for extremal sets in a plane file")
     p.add_argument("--plane", required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="global node budget")
     p.add_argument("--output", help="directory for found point-set files")
 
     p = sub.add_parser("certify", help="desk-scale certification for PG(2, q), q <= 4")
     p.add_argument("q", type=int)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_NODE_BUDGET,
+        help="node budget for each t's search, not the total",
+    )
     p.add_argument("--json", action="store_true")
 
     return parser
@@ -113,19 +119,7 @@ def _bool(v: bool) -> str:
 def _cmd_bound(args) -> int:
     bv = max_size_bound(args.n, args.t)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "n": bv.n,
-                    "t": bv.t,
-                    "discriminant": bv.discriminant,
-                    "attainable": bv.attainable,
-                    "bound": bv.bound,
-                    "b": bv.b,
-                    "size_floor": bv.size_floor,
-                }
-            )
-        )
+        print(json.dumps(dataclasses.asdict(bv)))
     elif bv.attainable:
         print(f"bound={bv.bound} b={bv.b} attainable=true")
     else:
@@ -216,46 +210,18 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     plane = load_plane(args.plane)
-    ps = load_point_set(args.set_path, plane)
-    spec = blocking.spectrum(plane, ps)
-    blocked = blocking.is_t_fold_blocking(plane, ps, args.t)
-    failure = None
-    minimal = None
-    if blocked:
-        minimal = blocking.is_minimal(plane, ps, args.t)
-        if not minimal:
-            failure = "a set point lies on no line meeting the set in exactly t points"
-    else:
-        if min(spec) < args.t:
-            for j, lm in enumerate(plane.line_masks):
-                if (ps.mask & lm).bit_count() < args.t:
-                    failure = f"line {j} meets the set in {(ps.mask & lm).bit_count()} < t points"
-                    break
-        else:
-            failure = f"no line meets the set in exactly {args.t} points"
-    ok = blocked and bool(minimal)
+    verdict = blocking.verify(plane, load_point_set(args.set_path, plane), args.t)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "t": args.t,
-                    "size": ps.size,
-                    "blocking": blocked,
-                    "minimal": minimal,
-                    "spectrum": {str(k): spec[k] for k in sorted(spec)},
-                    "failure": failure,
-                }
-            )
-        )
+        print(json.dumps(dataclasses.asdict(verdict)))
     else:
-        minimal_text = "-" if minimal is None else _bool(minimal)
+        minimal_text = "-" if verdict.minimal is None else _bool(verdict.minimal)
         print(
-            f"size={ps.size} blocking={_bool(blocked)} minimal={minimal_text} "
-            f"spectrum={blocking.spectrum_to_json(spec)}"
+            f"size={verdict.size} blocking={_bool(verdict.blocking)} minimal={minimal_text} "
+            f"spectrum={blocking.spectrum_to_json(verdict.spectrum)}"
         )
-        if failure:
-            print(f"failure: {failure}")
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+        if verdict.failure:
+            print(f"failure: {verdict.failure}")
+    return EXIT_OK if verdict.minimal else EXIT_VERIFY_FAILED
 
 
 def _cmd_spectrum(args) -> int:

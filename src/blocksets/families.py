@@ -134,12 +134,12 @@ def characterize(plane: IncidencePlane, point_set: PointSet, t: int) -> FamilyLa
     if t < 1:
         raise ValueError("t must be positive")
     n = plane.order
-    if point_set.size == n * n + n and point_set.complement().size == 1:
+    comp = point_set.complement()
+    if comp.size == 1:
         return FamilyLabel.PLANE_MINUS_POINT
     r = isqrt(n)
     if r * r == n:
         baer_values = {1, r + 1}
-        comp = point_set.complement()
         if comp.size == n + r + 1:
             if set(blocking.spectrum(plane, comp)) <= baer_values:
                 return FamilyLabel.BAER_COMPLEMENT

@@ -54,18 +54,11 @@ class SearchResult:
 
 
 def _validate_extremal(plane, mask, t, b):
-    """Leaf filter: accept only sets the blocking-module verifier certifies.
-
-    A spectrum with support {t, b+1} is already t-fold blocking, because
-    b >= t (D - (t+1)^2 = 4t(n-t) >= 0); is_minimal checks blocking again
-    before it decides minimality.
-    """
+    """Leaf filter: the set, if the blocking-module verifier finds it a
+    minimal t-fold blocking set with the spectrum {t, b+1}, else None."""
     ps = PointSet(plane, mask)
-    if not blocking.is_two_valued(blocking.spectrum(plane, ps), t, b):
-        return None
-    if not blocking.is_minimal(plane, ps, t):
-        return None
-    return ps
+    verdict = blocking.verify(plane, ps, t)
+    return ps if verdict.minimal and set(verdict.spectrum) == {t, b + 1} else None
 
 
 def _orbit_minima(num_points: int, perms: Sequence[Sequence[int]]) -> set[int]:

@@ -7,7 +7,9 @@ coefficient tuples by plain enumeration; a plane also comes from an XOR
 construction; plane axioms are checked by counting the lines through every
 pair of points; equality solutions are found by plain two-dimensional
 enumeration; and extremal sets are found by filtering every subset of the
-bound's size through the public verifiers, with no prune.
+bound's size through the public verifiers, with no prune; the verifier
+itself is checked against line members counted from ``plane.lines`` and a
+Python set.
 """
 
 from __future__ import annotations
@@ -215,6 +217,27 @@ def plane_axioms_hold_by_pair_sets(order, lines):
         if sum(1 for s in sets if a in s and b in s) != 1:
             return False
     return True
+
+
+# -- verifier oracle ----------------------------------------------------------
+
+
+def verdict_by_points(plane, indices, t):
+    """(spectrum, blocking, minimal, first short line) of the point set,
+    counted from ``plane.lines`` and a Python set: no masks and nothing from
+    ``blocking``.  minimal is None when the set is not t-fold blocking; the
+    short line is (line index, count) of the first line met in fewer than t
+    points, or None."""
+    members = set(indices)
+    counts = [sum(1 for i in line if i in members) for line in plane.lines]
+    spec = {c: counts.count(c) for c in sorted(set(counts))}
+    blocking = min(counts) >= t and t in counts
+    minimal = None
+    if blocking:
+        t_lines = [set(line) for line, c in zip(plane.lines, counts) if c == t]
+        minimal = all(any(i in line for line in t_lines) for i in members)
+    short = next(((j, c) for j, c in enumerate(counts) if c < t), None)
+    return spec, blocking, minimal, short
 
 
 # -- prune-safety oracle for the search ---------------------------------------

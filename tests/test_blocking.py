@@ -15,6 +15,7 @@ from blocksets import (
     spectrum,
     spectrum_to_json,
 )
+from blocksets.blocking import verify
 
 
 def test_spectrum_empty_set():
@@ -142,3 +143,41 @@ def test_is_two_valued():
     fano = support.desarguesian(2, 1)
     line = PointSet.from_indices(fano, fano.lines[0])
     assert not is_two_valued(spectrum(fano, line), 1, 1)  # support {1,3} != {1,2}
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (2, 2)])
+def test_verify_and_predicates_match_point_count_oracle(p, k):
+    """verify, spectrum, is_t_fold_blocking and is_minimal against
+    support.verdict_by_points on 100 seeded random subsets, every t in 1..n+1;
+    a shortfall failure names the oracle's first short line."""
+    plane = support.desarguesian(p, k)
+    rng = random.Random(7000 + plane.order)
+    outcomes = set()
+    for _ in range(100):
+        density = rng.random()
+        indices = [i for i in range(plane.num_points) if rng.random() < density]
+        ps = PointSet.from_indices(plane, indices)
+        for t in range(1, plane.order + 2):
+            spec, blocked, minimal, short = support.verdict_by_points(plane, indices, t)
+            verdict = verify(plane, ps, t)
+            assert (verdict.t, verdict.size) == (t, len(indices))
+            assert (verdict.spectrum, verdict.blocking, verdict.minimal) == (spec, blocked, minimal)
+            assert spectrum(plane, ps) == spec
+            assert is_t_fold_blocking(plane, ps, t) == blocked
+            if blocked:
+                assert is_minimal(plane, ps, t) == minimal
+            else:
+                with pytest.raises(ValueError):
+                    is_minimal(plane, ps, t)
+            if short is not None:
+                kind, expected = "short", "line {} meets the set in {} < t points".format(*short)
+            elif not blocked:
+                kind, expected = "no t-line", f"no line meets the set in exactly {t} points"
+            elif not minimal:
+                kind = "uncovered"
+                expected = "a set point lies on no line meeting the set in exactly t points"
+            else:
+                kind, expected = "minimal", None
+            assert verdict.failure == expected
+            outcomes.add(kind)
+    assert outcomes == {"short", "no t-line", "uncovered", "minimal"}
