@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import glob
 import json
 import os
 import sys
@@ -232,6 +233,10 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    # set files left by an earlier search would read as found by this one
+    if args.output and glob.glob(os.path.join(glob.escape(args.output), "set_*.txt")):
+        print(f"error: {args.output} already holds set_*.txt files", file=sys.stderr)
+        return EXIT_USAGE
     plane = load_plane(args.plane)
     result = exhaustive_extremal_search(SearchTask(plane, args.t, node_budget=args.budget))
     if args.output:

@@ -38,7 +38,6 @@ class SearchTask:
     plane: IncidencePlane
     t: int
     node_budget: int = DEFAULT_NODE_BUDGET
-    symmetry: Sequence[Sequence[int]] | None = None
 
 
 @dataclass
@@ -53,47 +52,7 @@ class SearchResult:
     complete: bool
 
 
-def _validate_extremal(plane, mask, t, b):
-    """Leaf filter: the set, if the blocking-module verifier finds it a
-    minimal t-fold blocking set with the spectrum {t, b+1}, else None."""
-    ps = PointSet(plane, mask)
-    verdict = blocking.verify(plane, ps, t)
-    return ps if verdict.minimal and set(verdict.spectrum) == {t, b + 1} else None
-
-
-def _orbit_minima(num_points: int, perms: Sequence[Sequence[int]]) -> set[int]:
-    minima = set()
-    seen = [False] * num_points
-    for start in range(num_points):
-        if seen[start]:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for perm in perms:
-                y = perm[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        for x in orbit:
-            seen[x] = True
-        minima.add(min(orbit))
-    return minima
-
-
-def _check_symmetry(plane: IncidencePlane, perms: Sequence[Sequence[int]]):
-    """Symmetry prunes are only sound for collineations; verify each one."""
-    line_set = set(plane.lines)
-    for perm in perms:
-        if sorted(perm) != list(range(plane.num_points)):
-            raise ValueError("symmetry entry is not a permutation of the points")
-        for pts in plane.lines:
-            if tuple(sorted(perm[i] for i in pts)) not in line_set:
-                raise ValueError("symmetry permutation does not preserve lines")
-
-
-def _pruned_search(plane, t, m, b, budget, first_points):
+def _pruned_search(plane, t, m, b, budget):
     """Depth-first include-then-exclude search on an explicit stack.
 
     Returns (found sets, nodes visited, complete).  A fresh node is the entry
@@ -104,14 +63,13 @@ def _pruned_search(plane, t, m, b, budget, first_points):
     """
     num_points = plane.num_points
     pt_lines = plane.point_lines
-    # suffix[j][i]: points of line j with index >= i, for the dead-line prune
-    suffix = []
+    # after[i][k]: points beyond i on line pt_lines[i][k] (lines are sorted),
+    # for the dead-line prune; both list the lines through i in index order
+    after = [[] for _ in range(num_points)]
     for pts in plane.lines:
-        on_line = set(pts)
-        col = [0] * (num_points + 1)
-        for i in range(num_points - 1, -1, -1):
-            col[i] = col[i + 1] + (1 if i in on_line else 0)
-        suffix.append(col)
+        last = len(pts) - 1
+        for rank, i in enumerate(pts):
+            after[i].append(last - rank)
     counts = [0] * plane.num_lines
     found = []
     nodes = 0
@@ -123,26 +81,23 @@ def _pruned_search(plane, t, m, b, budget, first_points):
             if included:
                 for j in lines:
                     counts[j] -= 1
-            nxt = i + 1
-            if all(counts[j] + suffix[j][nxt] >= t for j in lines):
-                stack.append((nxt, size, mask, None))
+            if all(counts[j] + rest >= t for j, rest in zip(lines, after[i])):
+                stack.append((i + 1, size, mask, None))
             continue
         if nodes == budget:
             return found, nodes, False
         nodes += 1
         if size == m:
             if all(c >= t for c in counts):
-                ps = _validate_extremal(plane, mask, t, b)
-                if ps is not None:
+                ps = PointSet(plane, mask)
+                verdict = blocking.verify(plane, ps, t)
+                if verdict.minimal and blocking.is_two_valued(verdict.spectrum, t, b):
                     found.append(ps)
             continue
         if i == num_points or size + (num_points - i) < m:
             continue
         lines = pt_lines[i]
-        # with a symmetry, a set's first point must be an orbit minimum
-        take = (size or first_points is None or i in first_points) and all(
-            counts[j] <= b for j in lines
-        )
+        take = all(counts[j] <= b for j in lines)
         stack.append((i, size, mask, take))
         if take:
             for j in lines:
@@ -157,8 +112,15 @@ def exhaustive_extremal_search(task: SearchTask) -> SearchResult:
     The pruned search is iterative, so its depth is not bounded by the
     interpreter's recursion limit, and its node budget is global: the result
     never reports more nodes than the budget, and is complete only when the
-    search finished.  The returned set list is sorted lexicographically by
-    point indices.
+    search finished.
+
+    The sets come out in lexicographic order of their point indices, with no
+    sort.  Every found set has size m, and the search tries including a point
+    before excluding it, in point order.  Take two found sets A and B, and
+    let x be the smallest point in exactly one of them, say in A.  Both lie
+    below the node that decides x, where A takes the include branch and so is
+    found first.  A is also lexicographically smaller: the two agree below x,
+    where A next holds x and B, of the same size, a point above x.
     """
     start = time.perf_counter()
     plane, t = task.plane, task.t
@@ -168,16 +130,7 @@ def exhaustive_extremal_search(task: SearchTask) -> SearchResult:
     if not bv.attainable:
         return SearchResult(None, [], 0, time.perf_counter() - start, True)
     m, b = bv.bound, bv.b
-
-    first_points = None
-    if task.symmetry:
-        _check_symmetry(plane, task.symmetry)
-        first_points = _orbit_minima(plane.num_points, task.symmetry)
-
-    sets, nodes, complete = _pruned_search(
-        plane, t, m, b, task.node_budget, first_points
-    )
-    sets.sort(key=lambda ps: ps.indices())
+    sets, nodes, complete = _pruned_search(plane, t, m, b, task.node_budget)
     return SearchResult(m, sets, nodes, time.perf_counter() - start, complete)
 
 

@@ -280,6 +280,20 @@ def test_search_command(tmp_path, capsys):
         assert load_point_set(f, plane).size == 6
 
 
+def test_search_refuses_a_directory_with_set_files(plane_files, tmp_path, capsys):
+    out_dir = tmp_path / "found"
+    code, out, _ = run(capsys, "search", "--plane", plane_files["pg24"], "--t", "4",
+                       "--output", str(out_dir))
+    assert code == 0 and json.loads(out)["found"] == 21
+    before = {f.name: f.read_text() for f in out_dir.iterdir()}
+    code, out, err = run(capsys, "search", "--plane", plane_files["pg24"], "--t", "2",
+                         "--output", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "set_" in err
+    assert {f.name: f.read_text() for f in out_dir.iterdir()} == before
+
+
 def test_search_unattainable_summary(tmp_path, capsys):
     plane = support.desarguesian(2, 1)
     plane_path = tmp_path / "fano.txt"

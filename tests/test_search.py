@@ -1,4 +1,4 @@
-import itertools
+import random
 import sys
 
 import pytest
@@ -6,6 +6,7 @@ import pytest
 import support
 from blocksets import (
     FamilyLabel,
+    IncidencePlane,
     SearchTask,
     certify_no_other_t,
     characterize,
@@ -71,19 +72,50 @@ def test_prune_safety_on_fano(t):
     pruned = exhaustive_extremal_search(SearchTask(fano, t))
     assert _indices(pruned) == oracle
     assert pruned.complete
-    # the first-point symmetry restriction keeps exactly the oracle's sets
-    # whose first point is the smallest of its sigma-cycle
-    sigma = _fano_collineation(fano)
-    pruned = exhaustive_extremal_search(SearchTask(fano, t, symmetry=[sigma]))
-    minima = _cycle_minima(sigma)
-    assert _indices(pruned) == [s for s in oracle if s[0] in minima]
-    assert pruned.complete
 
 
 def test_prune_safety_on_pg23():
     plane = support.desarguesian(3, 1)
     pruned = exhaustive_extremal_search(SearchTask(plane, 3))
     assert _indices(pruned) == support.extremal_sets_by_enumeration(plane, 3)
+
+
+@pytest.mark.parametrize("p, k, t", [(2, 1, 2), (3, 1, 3), (2, 2, 4)],
+                         ids=["pg22", "pg23", "pg24"])
+def test_search_does_not_depend_on_point_numbering(p, k, t):
+    plane = support.desarguesian(p, k)
+    rng = random.Random(p * 100 + k)
+    relabel = list(range(plane.num_points))
+    rng.shuffle(relabel)
+    lines = []
+    for pts in plane.lines:
+        line = [relabel[i] for i in pts]
+        rng.shuffle(line)
+        lines.append(line)
+    relabelled = IncidencePlane(plane.order, lines)
+    result = exhaustive_extremal_search(SearchTask(relabelled, t))
+    assert result.complete
+    assert result.sets
+    assert _indices(result) == support.extremal_sets_by_enumeration(relabelled, t)
+
+
+@pytest.mark.parametrize(
+    "k, t, budget, nodes, found, complete",
+    [
+        (2, 1, DEFAULT_NODE_BUDGET, 103056, 280, True),
+        (2, 2, DEFAULT_NODE_BUDGET, 90809, 360, True),
+        (4, 16, DEFAULT_NODE_BUDGET, 37673, 273, True),
+        (2, 1, 5000, 5000, 24, False),
+    ],
+    ids=["pg24_t1", "pg24_t2", "pg216_t16", "pg24_t1_budget"],
+)
+def test_search_tree_is_pinned(k, t, budget, nodes, found, complete):
+    """Searches too large for the enumeration oracle; the node count also
+    catches a weakened prune that still finds the same sets."""
+    result = exhaustive_extremal_search(
+        SearchTask(support.desarguesian(2, k), t, node_budget=budget)
+    )
+    assert (result.nodes, len(result.sets), result.complete) == (nodes, found, complete)
 
 
 def test_budget_truncation_reports_incomplete():
@@ -124,65 +156,6 @@ def test_search_depth_is_not_bounded_by_recursion_limit():
         sys.setrecursionlimit(limit)
     assert result.complete
     assert len(result.sets) == 273
-
-
-def _fano_collineation(plane):
-    """Brute-force a line-preserving point permutation that moves point 0,
-    so its orbit minima leave out some point a search would start from."""
-    line_set = set(plane.lines)
-    for perm in itertools.permutations(range(7)):
-        if perm[0] == 0:
-            continue
-        if all(tuple(sorted(perm[i] for i in pts)) in line_set for pts in plane.lines):
-            return list(perm)
-    raise AssertionError("Fano plane has plenty of collineations")
-
-
-def _cycle_minima(perm):
-    """The smallest point of each cycle of a permutation, i.e. its orbit minima."""
-    minima, seen = set(), set()
-    for start in range(len(perm)):
-        if start in seen:
-            continue
-        cycle = [start]
-        while perm[cycle[-1]] != start:
-            cycle.append(perm[cycle[-1]])
-        seen.update(cycle)
-        minima.add(min(cycle))
-    return minima
-
-
-def test_symmetry_restriction_is_sound():
-    fano = support.desarguesian(2, 1)
-    sigma = _fano_collineation(fano)
-    full = exhaustive_extremal_search(SearchTask(fano, 2))
-    sym = exhaustive_extremal_search(SearchTask(fano, 2, symmetry=[sigma]))
-    assert len(sym.sets) <= len(full.sets)
-    # closing the symmetric results under sigma recovers every full result
-    closure = set()
-    frontier = [frozenset(ps.indices()) for ps in sym.sets]
-    while frontier:
-        s = frontier.pop()
-        if s in closure:
-            continue
-        closure.add(s)
-        frontier.append(frozenset(sigma[i] for i in s))
-    assert {frozenset(ps.indices()) for ps in full.sets} <= closure
-
-
-def test_symmetry_rejects_non_collineation():
-    fano = support.desarguesian(2, 1)
-    not_a_perm = [0] * 7
-    with pytest.raises(ValueError):
-        exhaustive_extremal_search(SearchTask(fano, 2, symmetry=[not_a_perm]))
-    # a permutation that shuffles a line into a non-line
-    line_breaker = list(range(7))
-    a, b = fano.lines[0][0], next(
-        i for i in range(7) if i not in fano.lines[0]
-    )
-    line_breaker[a], line_breaker[b] = line_breaker[b], line_breaker[a]
-    with pytest.raises(ValueError):
-        exhaustive_extremal_search(SearchTask(fano, 2, symmetry=[line_breaker]))
 
 
 def test_certify_pg22():
