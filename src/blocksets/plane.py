@@ -158,95 +158,65 @@ _MAX_REPORTED_FAILURES = 25
 
 
 def verify_plane_axioms(plane: IncidencePlane) -> AxiomReport:
-    """Exhaustively check the projective-plane axioms.
+    """Exhaustively check the projective-plane axioms in one pass.
 
     The axioms are the global counts, per-line cardinality, per-point degree,
     and that any two distinct points lie on exactly one common line.  The
-    last is decided on bitmasks in O(N * n) big-integer operations: when
-    every line has n+1 distinct points and every point lies on n+1 lines,
-    the lines through a point p carry at most (n+1) * n + 1 = n^2+n+1
-    points, so their masks cover the whole universe exactly when they meet
-    pairwise in p alone, i.e. when every other point shares exactly one
-    line with p.
+    count failures come first.  The pair axiom is then decided on the line
+    masks, point by point: when every line has n+1 distinct points and every
+    point lies on n+1 lines, the lines through a point p carry at most
+    (n+1) * n + 1 = n^2+n+1 points, so their masks cover the whole universe
+    exactly when every other point shares exactly one line with p.  Such a
+    point costs one OR per line.  Any other point p is worded from the same
+    masks, each bad pair from its smaller point: the first point x > p on
+    two of p's lines k < j gives ``points p and x lie on lines k and j``,
+    and the first point y > p on none of them gives ``points p and y lie on
+    no common line``.  The pass stops after _MAX_REPORTED_FAILURES messages.
 
-    The pair walk (``_pair_walk_failures``) only writes the failure
-    messages (with a first counterexample), and runs only for a plane that
-    fails this check; on a plane that passes it would find nothing, so the
-    report is the walk's on every input.  Failures are report entries, never
-    exceptions.
-    """
-    if _lines_cover_from_every_point(plane):
-        return AxiomReport(ok=True)
-    failures = _pair_walk_failures(plane)
-    return AxiomReport(ok=not failures, failures=failures)
-
-
-def _lines_cover_from_every_point(plane: IncidencePlane) -> bool:
-    """True iff the counts hold and the lines through each point cover all."""
-    n = plane.order
-    if plane.num_lines != n * n + n + 1:
-        return False
-    if any(len(pts) != n + 1 for pts in plane.lines):
-        return False
-    if any(len(ls) != n + 1 for ls in plane.point_lines):
-        return False
-    masks = plane.line_masks
-    universe = (1 << plane.num_points) - 1
-    for ls in plane.point_lines:
-        cover = 0
-        for j in ls:
-            cover |= masks[j]
-        if cover != universe:
-            return False
-    return True
-
-
-def _pair_walk_failures(plane: IncidencePlane) -> list[str]:
-    """Failure messages of the axiom check, by walking every pair on every line.
-
-    Builds a dict of all N(N-1)/2 covered pairs, so it costs O(N^2) memory;
-    it is the reference path and runs only for planes that fail the cover
-    check.
+    This is O(N * n) big-integer operations and keeps no per-pair state.
+    Failures are report entries, never exceptions.
     """
     n = plane.order
     expected = n * n + n + 1
-    failures: list[str] = []
-
-    def note(msg: str):
-        if len(failures) < _MAX_REPORTED_FAILURES:
-            failures.append(msg)
-
+    failures = []
     if plane.num_lines != expected:
-        note(f"line count {plane.num_lines} != n^2+n+1 = {expected}")
-    for j, pts in enumerate(plane.lines):
-        if len(pts) != n + 1:
-            note(f"line {j} cardinality {len(pts)} != n+1 = {n + 1}")
-    for i in range(plane.num_points):
-        deg = len(plane.point_lines[i])
-        if deg != n + 1:
-            note(f"point {i} lies on {deg} lines, expected n+1 = {n + 1}")
-
-    pair_line: dict[tuple[int, int], int] = {}
-    for j, pts in enumerate(plane.lines):
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                pair = (pts[a], pts[b])
-                prev = pair_line.get(pair)
-                if prev is None:
-                    pair_line[pair] = j
-                else:
-                    note(f"points {pair[0]} and {pair[1]} lie on lines {prev} and {j}")
-    if len(pair_line) != plane.num_points * (plane.num_points - 1) // 2:
-        for a in range(plane.num_points):
-            for b in range(a + 1, plane.num_points):
-                if (a, b) not in pair_line:
-                    note(f"points {a} and {b} lie on no common line")
-                    break
-            else:
-                continue
+        failures.append(f"line count {plane.num_lines} != n^2+n+1 = {expected}")
+    failures += [
+        f"line {j} cardinality {len(pts)} != n+1 = {n + 1}"
+        for j, pts in enumerate(plane.lines)
+        if len(pts) != n + 1
+    ]
+    failures += [
+        f"point {i} lies on {len(ls)} lines, expected n+1 = {n + 1}"
+        for i, ls in enumerate(plane.point_lines)
+        if len(ls) != n + 1
+    ]
+    counts_hold = not failures
+    masks = plane.line_masks
+    universe = (1 << plane.num_points) - 1
+    for p, ls in enumerate(plane.point_lines):
+        cover = 0
+        for j in ls:
+            cover |= masks[j]
+        if cover == universe and counts_hold:
+            continue
+        if len(failures) >= _MAX_REPORTED_FAILURES:
             break
-
-    return failures
+        shared = cover = 0
+        for j in ls:
+            shared |= cover & masks[j]
+            cover |= masks[j]
+        shared >>= p + 1
+        if shared:
+            x = p + (shared & -shared).bit_length()
+            k, j = [j for j in ls if masks[j] >> x & 1][:2]
+            failures.append(f"points {p} and {x} lie on lines {k} and {j}")
+        missing = (universe ^ cover) >> (p + 1)
+        if missing:
+            y = p + (missing & -missing).bit_length()
+            failures.append(f"points {p} and {y} lie on no common line")
+    failures = failures[:_MAX_REPORTED_FAILURES]
+    return AxiomReport(ok=not failures, failures=failures)
 
 
 def save_plane(plane: IncidencePlane, path) -> None:
@@ -310,8 +280,11 @@ def load_plane(path) -> IncidencePlane:
             pts = list(map(int, text.split()))
         except ValueError:
             raise PlaneFormatError(f"line {lineno}: non-integer point index") from None
-        if len(pts) != n + 1 or len(set(pts)) != len(pts):
+        if len(pts) != n + 1:
             raise PlaneFormatError(f"line {lineno}: line cardinality != n+1")
+        if len(set(pts)) != len(pts):
+            rep = next(i for k, i in enumerate(pts) if i in pts[:k])
+            raise PlaneFormatError(f"line {lineno}: point {rep} repeated")
         if min(pts) < 0 or max(pts) >= expected:
             bad = next(i for i in pts if not 0 <= i < expected)
             raise PlaneFormatError(f"line {lineno}: point index {bad} out of range")

@@ -397,3 +397,28 @@ def test_verify_rejects_extra_point_set_row(plane_files, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "line 4" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--set", "{unital}", "--t", "1"],
+        ["spectrum", "--set", "{unital}"],
+        ["search", "--t", "1"],
+    ],
+)
+def test_plane_with_swapped_points_exits_2(plane_files, tmp_path, capsys, argv):
+    # two points trade lines 0 and 1: every count holds, two pairs repeat
+    # and two lose their line
+    lines = [list(l) for l in support.desarguesian(2, 2).lines]
+    x = next(i for i in lines[0] if i not in lines[1])
+    y = next(i for i in lines[1] if i not in lines[0])
+    lines[0][lines[0].index(x)] = y
+    lines[1][lines[1].index(y)] = x
+    plane_path = tmp_path / "swapped.txt"
+    plane_path.write_text("order 4\n" + "".join(" ".join(map(str, l)) + "\n" for l in lines))
+    argv = [a.format(**plane_files) for a in argv] + ["--plane", str(plane_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: plane axioms violated: points ")

@@ -1,9 +1,11 @@
+import itertools
 import random
+import re
+import tracemalloc
 
 import pytest
 
 import support
-from blocksets import plane as plane_module
 from blocksets import (
     IncidencePlane,
     PlaneFormatError,
@@ -143,6 +145,18 @@ def test_load_rejects_wrong_cardinality(tmp_path):
         load_plane(path)
 
 
+def test_load_rejects_repeated_index(tmp_path):
+    path = tmp_path / "repeat.txt"
+    lines = [list(l) for l in support.xor_fano_lines()]
+    lines[0] = [0, 0, 1]
+    with open(path, "w") as fh:
+        fh.write("order 2\n")
+        for pts in lines:
+            fh.write(" ".join(str(i) for i in pts) + "\n")
+    with pytest.raises(PlaneFormatError, match="^line 2: point 0 repeated$"):
+        load_plane(path)
+
+
 def test_load_rejects_wrong_line_count(tmp_path):
     path = tmp_path / "short.txt"
     with open(path, "w") as fh:
@@ -195,12 +209,71 @@ def test_loaded_plane_has_no_coordinates(tmp_path):
     assert loaded.point_coords is None
 
 
-# -- the cover check against the pair-set oracle and the pair walk ------------
+# -- the axiom check against the pair-set oracle ------------------------------
+
+_LIE_ON_LINES = re.compile(r"points (\d+) and (\d+) lie on lines (\d+) and (\d+)")
+_NO_COMMON_LINE = re.compile(r"points (\d+) and (\d+) lie on no common line")
+
+
+def _check_report_against_oracle(order, lines):
+    """Check verify_plane_axioms on these lines against the pair-set oracle.
+
+    The count messages must be exactly the expected ones, first and in
+    order; every pair message must name a pair that is really repeated or
+    missing, from its smaller point; and the smallest point that is the
+    smaller end of a bad pair must be named first, unless count failures
+    have filled the report.  Returns the report.
+    """
+    report = verify_plane_axioms(IncidencePlane(order, lines))
+    assert report.ok == support.plane_axioms_hold_by_pair_sets(order, lines)
+    assert report.ok == (not report.failures)
+    cap = 25
+    assert len(report.failures) <= cap
+    num_points = order * order + order + 1
+    sets = [set(pts) for pts in lines]
+    counts = []
+    if len(lines) != num_points:
+        counts.append(f"line count {len(lines)} != n^2+n+1 = {num_points}")
+    counts += [
+        f"line {j} cardinality {len(pts)} != n+1 = {order + 1}"
+        for j, pts in enumerate(lines)
+        if len(pts) != order + 1
+    ]
+    for i in range(num_points):
+        deg = sum(1 for s in sets if i in s)
+        if deg != order + 1:
+            counts.append(f"point {i} lies on {deg} lines, expected n+1 = {order + 1}")
+    assert report.failures[: len(counts)] == counts[:cap]
+    pair_messages = report.failures[len(counts) :]
+    named = []
+    for msg in pair_messages:
+        if m := _LIE_ON_LINES.fullmatch(msg):
+            p, x, k, j = map(int, m.groups())
+            assert p < x and k < j
+            assert {p, x} <= sets[k] and {p, x} <= sets[j]
+        else:
+            m = _NO_COMMON_LINE.fullmatch(msg)
+            assert m, msg
+            p, x = map(int, m.groups())
+            assert p < x and not any(p in s and x in s for s in sets)
+        named.append(p)
+    assert named == sorted(named)
+    smallest_bad = next(
+        (
+            p
+            for p, x in itertools.combinations(range(num_points), 2)
+            if sum(1 for s in sets if p in s and x in s) != 1
+        ),
+        None,
+    )
+    if len(counts) < cap and smallest_bad is not None:
+        assert named[0] == smallest_bad
+    return report
 
 
 def _swap_points_between_lines(lines):
     # x leaves line 0 for line 1 and y the other way: cardinalities and
-    # degrees are unchanged, so only the cover check can see it
+    # degrees are unchanged, so only the pair check can see it
     x = next(i for i in lines[0] if i not in lines[1])
     y = next(i for i in lines[1] if i not in lines[0])
     lines[0][lines[0].index(x)] = y
@@ -219,9 +292,19 @@ def _shorten_line(lines):
     lines[0].pop()
 
 
+def _delete_line(lines):
+    del lines[0]
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [_swap_points_between_lines, _duplicate_line, _repeat_index_in_line, _shorten_line],
+    [
+        _swap_points_between_lines,
+        _duplicate_line,
+        _repeat_index_in_line,
+        _shorten_line,
+        _delete_line,
+    ],
 )
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2)])
 def test_corrupted_plane_reports_pair_walk_failures(p, k, corrupt):
@@ -233,46 +316,68 @@ def test_corrupted_plane_reports_pair_walk_failures(p, k, corrupt):
         with pytest.raises(ValueError, match="line 0 repeats a point"):
             IncidencePlane(order, lines)
         return
-    broken = IncidencePlane(order, lines)
-    report = verify_plane_axioms(broken)
-    assert report.ok == support.plane_axioms_hold_by_pair_sets(order, lines)
+    report = _check_report_against_oracle(order, lines)
     assert not report.ok
-    assert report.failures == plane_module._pair_walk_failures(broken)
     if corrupt is _swap_points_between_lines:
         assert all("lie on" in f for f in report.failures)
 
 
-def test_random_corruptions_agree_with_oracle_and_pair_walk():
+@pytest.mark.parametrize(
+    "corrupt,first",
+    [
+        (_swap_points_between_lines, "points 0 and 5 lie on lines 0 and 5"),
+        (_duplicate_line, "point 0 lies on 2 lines, expected n+1 = 3"),
+        (_shorten_line, "line 0 cardinality 2 != n+1 = 3"),
+        (_delete_line, "line count 6 != n^2+n+1 = 7"),
+    ],
+)
+def test_fano_first_failure_of_each_corruption(corrupt, first):
+    lines = [list(l) for l in support.desarguesian(2, 1).lines]
+    corrupt(lines)
+    assert verify_plane_axioms(IncidencePlane(2, lines)).first_failure() == first
+
+
+def test_random_corruptions_agree_with_oracle():
+    # one or two swaps, duplicated, shortened or deleted lines on PG(2,2..7)
     rng = random.Random(7)
-    base = support.desarguesian(3, 1)
     repeats = 0
-    for _ in range(150):
-        lines = [list(l) for l in base.lines]
-        for _ in range(rng.randint(1, 2)):
-            j, j2 = rng.randrange(13), rng.randrange(13)
-            a, b = rng.randrange(4), rng.randrange(4)
-            lines[j][a], lines[j2][b] = lines[j2][b], lines[j][a]
-        holds = support.plane_axioms_hold_by_pair_sets(3, lines)
-        repeated = [j for j, pts in enumerate(lines) if len(set(pts)) < len(pts)]
-        if repeated:
-            repeats += 1
-            assert not holds
-            with pytest.raises(ValueError, match=f"line {repeated[0]} repeats a point"):
-                IncidencePlane(3, lines)
-            continue
-        plane = IncidencePlane(3, lines)
+    for p, k in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)]:
+        base = support.desarguesian(p, k)
+        for _ in range(60):
+            lines = [list(l) for l in base.lines]
+            for _ in range(rng.randint(1, 2)):
+                j, j2 = rng.randrange(len(lines)), rng.randrange(len(lines))
+                kind = rng.randrange(4)
+                if kind == 0:
+                    a, b = rng.randrange(len(lines[j])), rng.randrange(len(lines[j2]))
+                    lines[j][a], lines[j2][b] = lines[j2][b], lines[j][a]
+                elif kind == 1:
+                    lines[j2] = list(lines[j])
+                elif kind == 2:
+                    lines[j].pop(rng.randrange(len(lines[j])))
+                else:
+                    del lines[j]
+            repeated = [j for j, pts in enumerate(lines) if len(set(pts)) < len(pts)]
+            if repeated:
+                repeats += 1
+                assert not support.plane_axioms_hold_by_pair_sets(base.order, lines)
+                with pytest.raises(ValueError, match=f"line {repeated[0]} repeats a point"):
+                    IncidencePlane(base.order, lines)
+                continue
+            _check_report_against_oracle(base.order, lines)
+    assert 0 < repeats < 300
+
+
+def test_swapped_pg232_check_keeps_no_per_pair_state():
+    lines = [list(l) for l in support.desarguesian(2, 5).lines]
+    _swap_points_between_lines(lines)
+    plane = IncidencePlane(32, lines)
+    tracemalloc.start()
+    try:
         report = verify_plane_axioms(plane)
-        assert report.ok == holds
-        assert report.failures == plane_module._pair_walk_failures(plane)
-    assert 0 < repeats < 150
-
-
-def test_valid_plane_never_enters_pair_walk(tmp_path, monkeypatch):
-    def refuse(plane):
-        raise AssertionError("pair walk run on a valid plane")
-
-    path = tmp_path / "pg28.txt"
-    save_plane(support.desarguesian(2, 3), path)
-    monkeypatch.setattr(plane_module, "_pair_walk_failures", refuse)
-    plane = load_plane(path)
-    assert verify_plane_axioms(plane).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.ok
+    assert report.first_failure().startswith("points ")
+    assert peak < 1 << 20
