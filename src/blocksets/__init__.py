@@ -51,7 +51,6 @@ from .plane import (
     verify_plane_axioms,
 )
 from .search import (
-    CertifyEntry,
     CertifyReport,
     SearchResult,
     SearchTask,
@@ -65,7 +64,6 @@ __all__ = [
     "AxiomReport",
     "BoundValue",
     "CaseTrace",
-    "CertifyEntry",
     "CertifyReport",
     "EqualityParams",
     "ExtremalValue",

@@ -26,6 +26,7 @@ from .extremal import (
 from .families import (
     baer_complement,
     baer_subplane,
+    format_point_set,
     hermitian_unital,
     load_point_set,
     plane_minus_point,
@@ -44,7 +45,6 @@ from .search import (
     SearchTask,
     certify_no_other_t,
     exhaustive_extremal_search,
-    family_tally,
 )
 
 EXIT_OK = 0
@@ -203,9 +203,7 @@ def _cmd_construct(args) -> int:
     if args.output:
         save_point_set(ps, args.output)
     else:
-        print(f"order {plane.order}")
-        print(f"size {ps.size}")
-        print(" ".join(str(i) for i in ps.indices()))
+        sys.stdout.write(format_point_set(ps))
     return EXIT_OK
 
 
@@ -243,17 +241,7 @@ def _cmd_search(args) -> int:
         os.makedirs(args.output, exist_ok=True)
         for idx, ps in enumerate(result.sets):
             save_point_set(ps, os.path.join(args.output, f"set_{idx:04d}.txt"))
-    print(
-        json.dumps(
-            {
-                "t": args.t,
-                "size": result.size,
-                "found": len(result.sets),
-                "complete": result.complete,
-                "families": family_tally(plane, result.sets, args.t),
-            }
-        )
-    )
+    print(json.dumps(result.summary()))
     return EXIT_OK
 
 
@@ -267,12 +255,12 @@ def _cmd_certify(args) -> int:
     if args.json:
         print(json.dumps(report.as_dict()))
     else:
-        for e in report.entries:
-            fams = ",".join(f"{k}:{v}" for k, v in e.families.items()) or "-"
+        for row in report.as_dict()["results"]:
+            fams = ",".join(f"{k}:{v}" for k, v in row["families"].items()) or "-"
             print(
-                f"t={e.t} attainable={_bool(e.attainable)} found={e.found} "
-                f"complete={_bool(e.complete)} families={fams} "
-                f"expected={e.expected_family or '-'}"
+                f"t={row['t']} attainable={_bool(row['attainable'])} found={row['found']} "
+                f"complete={_bool(row['complete'])} families={fams} "
+                f"expected={row['expected_family'] or '-'}"
             )
         print(f"matches_theory={_bool(bool(report.matches_theory))}")
     return EXIT_OK if report.matches_theory else EXIT_VERIFY_FAILED

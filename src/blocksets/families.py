@@ -74,11 +74,10 @@ class PointSet:
         return f"PointSet(order={self.plane.order}, size={self.size})"
 
 
-def _require_square_coordinates(plane: IncidencePlane):
+def _coordinate_field(plane: IncidencePlane):
+    """The plane's field; its norm and subfield test reject an odd degree."""
     if plane.field is None or plane.point_coords is None:
         raise ValueError("plane has no coordinate map")
-    if plane.field.k % 2:
-        raise ValueError("field degree must be even")
     return plane.field
 
 
@@ -88,7 +87,7 @@ def hermitian_unital(plane: IncidencePlane) -> PointSet:
     N is the norm down to GF(q), so the set is the classical unital of
     size q^3 + 1; every line meets it in 1 or q+1 points.
     """
-    f = _require_square_coordinates(plane)
+    f = _coordinate_field(plane)
     norm = [f.relative_norm(a) for a in f.elements()]
     mask = 0
     for idx, (x, y, z) in enumerate(plane.point_coords):
@@ -103,7 +102,7 @@ def baer_subplane(plane: IncidencePlane) -> PointSet:
     Membership is tested on the normalized representative, coordinate by
     coordinate, so it does not depend on the choice of representative.
     """
-    f = _require_square_coordinates(plane)
+    f = _coordinate_field(plane)
     sub = [f.in_base_subfield(a) for a in f.elements()]
     mask = 0
     for idx, (x, y, z) in enumerate(plane.point_coords):
@@ -149,12 +148,16 @@ def characterize(plane: IncidencePlane, point_set: PointSet, t: int) -> FamilyLa
     return FamilyLabel.UNCLASSIFIED
 
 
+def format_point_set(point_set: PointSet) -> str:
+    """A point set as text: 'order <n>', 'size <m>', then sorted indices."""
+    indices = " ".join(str(i) for i in point_set.indices())
+    return f"order {point_set.plane.order}\nsize {point_set.size}\n{indices}\n"
+
+
 def save_point_set(point_set: PointSet, path) -> None:
-    """Write a point set: 'order <n>', 'size <m>', then sorted indices."""
+    """Write ``format_point_set(point_set)`` to a file."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"order {point_set.plane.order}\n")
-        fh.write(f"size {point_set.size}\n")
-        fh.write(" ".join(str(i) for i in point_set.indices()) + "\n")
+        fh.write(format_point_set(point_set))
 
 
 def load_point_set(path, plane: IncidencePlane) -> PointSet:

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import blocking
 from .extremal import classify_prime_power, max_size_bound
-from .families import FamilyLabel, PointSet, characterize
+from .families import PointSet, characterize
 from .plane import IncidencePlane
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -43,13 +43,35 @@ class SearchTask:
 @dataclass
 class SearchResult:
     """What one search did.  ``size`` is the bound that was searched for, or
-    None when the bound is not attainable and nothing was searched."""
+    None when the bound is not attainable and nothing was searched.
+    ``families`` is the ``family_tally`` of ``sets``; ``seconds`` times the
+    search alone, not the tally."""
 
+    t: int
     size: int | None
     sets: list[PointSet]
     nodes: int
     seconds: float
     complete: bool
+    families: dict[str, int]
+
+    @property
+    def found(self) -> int:
+        return len(self.sets)
+
+    @property
+    def attainable(self) -> bool:
+        return self.size is not None
+
+    def summary(self) -> dict:
+        """The ``search`` JSON row: t, size, found, complete, families."""
+        return {
+            "t": self.t,
+            "size": self.size,
+            "found": self.found,
+            "complete": self.complete,
+            "families": dict(self.families),
+        }
 
 
 def _pruned_search(plane, t, m, b, budget):
@@ -106,6 +128,11 @@ def _pruned_search(plane, t, m, b, budget):
     return found, nodes, True
 
 
+def family_tally(plane: IncidencePlane, sets: Sequence[PointSet], t: int) -> dict[str, int]:
+    """How many sets carry each ``characterize`` label, labels in sorted order."""
+    return dict(sorted(Counter(characterize(plane, ps, t).value for ps in sets).items()))
+
+
 def exhaustive_extremal_search(task: SearchTask) -> SearchResult:
     """Run one search task to exhaustion (or until the node budget runs out).
 
@@ -128,38 +155,11 @@ def exhaustive_extremal_search(task: SearchTask) -> SearchResult:
         raise ValueError("node budget must be positive")
     bv = max_size_bound(plane.order, t)
     if not bv.attainable:
-        return SearchResult(None, [], 0, time.perf_counter() - start, True)
+        return SearchResult(t, None, [], 0, time.perf_counter() - start, True, {})
     m, b = bv.bound, bv.b
     sets, nodes, complete = _pruned_search(plane, t, m, b, task.node_budget)
-    return SearchResult(m, sets, nodes, time.perf_counter() - start, complete)
-
-
-@dataclass
-class CertifyEntry:
-    """Search outcome for one multiplicity t."""
-
-    t: int
-    size: int | None  # SearchResult.size: None when the bound is not attainable
-    found: int
-    families: dict[str, int]  # family_tally of the sets
-    complete: bool
-    expected_family: str | None
-    sets: list[PointSet] = field(default_factory=list, repr=False)
-
-    @property
-    def attainable(self) -> bool:
-        return self.size is not None
-
-    def as_dict(self):
-        return {
-            "t": self.t,
-            "attainable": self.attainable,
-            "size": self.size,
-            "found": self.found,
-            "complete": self.complete,
-            "families": dict(self.families),
-            "expected_family": self.expected_family,
-        }
+    seconds = time.perf_counter() - start
+    return SearchResult(t, m, sets, nodes, seconds, complete, family_tally(plane, sets, t))
 
 
 @dataclass
@@ -167,22 +167,23 @@ class CertifyReport:
     """Desk-scale certification: extremal sets exist exactly where predicted."""
 
     order: int
-    entries: list[CertifyEntry]
-    expected: dict[int, FamilyLabel] | None
+    entries: list[SearchResult]
+    expected: dict[int, str] | None  # t -> predicted family name
     matches_theory: bool | None
 
     def as_dict(self):
+        names = self.expected or {}
         return {
             "order": self.order,
             "expected_t": sorted(self.expected) if self.expected is not None else None,
-            "results": [e.as_dict() for e in self.entries],
+            # summary() sets "t" again, which keeps its first place
+            "results": [
+                {"t": e.t, "attainable": e.attainable, **e.summary(),
+                 "expected_family": names.get(e.t)}
+                for e in self.entries
+            ],
             "matches_theory": self.matches_theory,
         }
-
-
-def family_tally(plane: IncidencePlane, sets: Sequence[PointSet], t: int) -> dict[str, int]:
-    """How many sets carry each ``characterize`` label, labels in sorted order."""
-    return dict(sorted(Counter(characterize(plane, ps, t).value for ps in sets).items()))
 
 
 def certify_no_other_t(
@@ -190,7 +191,7 @@ def certify_no_other_t(
 ) -> CertifyReport:
     """Search every t in 1..n and compare against the closed-form classifier.
 
-    Each entry is built from one search, which returns at once, empty and
+    Each entry is the result of one search, which returns at once, empty and
     complete, where the bound is not attainable.  matches_theory is True
     only when every search ran to exhaustion and its family tally is
     {predicted label: found} at a predicted t and empty at every other t.
@@ -198,34 +199,20 @@ def certify_no_other_t(
     matches_theory is None.
     """
     n = plane.order
+    expected: dict[int, str] | None
     try:
-        expected: dict[int, FamilyLabel] | None = {
-            e.t: e.family for e in classify_prime_power(n)
-        }
+        expected = {e.t: e.family.value for e in classify_prime_power(n)}
     except ValueError:
         expected = None
-    names = {t: family.value for t, family in (expected or {}).items()}
-
-    entries = []
-    for t in range(1, n + 1):
-        res = exhaustive_extremal_search(SearchTask(plane, t, node_budget=node_budget))
-        entries.append(
-            CertifyEntry(
-                t,
-                res.size,
-                len(res.sets),
-                family_tally(plane, res.sets, t),
-                res.complete,
-                names.get(t),
-                sets=res.sets,
-            )
-        )
-
+    entries = [
+        exhaustive_extremal_search(SearchTask(plane, t, node_budget=node_budget))
+        for t in range(1, n + 1)
+    ]
     matches = None
     if expected is not None:
         matches = all(
             e.complete
-            and e.families == ({e.expected_family: e.found} if e.expected_family else {})
+            and e.families == ({expected[e.t]: e.found} if e.t in expected else {})
             for e in entries
         )
     return CertifyReport(n, entries, expected, matches)

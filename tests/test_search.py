@@ -238,6 +238,23 @@ def test_certify_entries_are_the_searches(p, k):
         assert entry.complete == direct.complete
         assert entry.found == len(direct.sets)
         assert _indices(entry) == _indices(direct)
+        assert entry.summary() == direct.summary()
+
+
+@pytest.mark.parametrize("t, label", [(1, "Unital"), (2, "BaerComplement"),
+                                      (4, "PlaneMinusPoint")])
+def test_search_result_families_recount_on_pg24(t, label):
+    plane = support.desarguesian(2, 2)
+    result = exhaustive_extremal_search(SearchTask(plane, t))
+    assert result.sets and result.found == len(result.sets)
+    recount = {}
+    for ps in result.sets:
+        name = characterize(plane, ps, t).value
+        recount[name] = recount.get(name, 0) + 1
+    assert result.families == recount == {label: result.found}
+    assert result.summary() == {"t": t, "size": result.size, "found": result.found,
+                                "complete": True, "families": recount}
+    assert list(result.summary()) == ["t", "size", "found", "complete", "families"]
 
 
 def test_search_result_size_is_the_bound_searched_for():
@@ -246,3 +263,4 @@ def test_search_result_size_is_the_bound_searched_for():
     unattainable = exhaustive_extremal_search(SearchTask(plane, 3))
     assert unattainable.size is None
     assert (unattainable.nodes, unattainable.complete) == (0, True)
+    assert (unattainable.attainable, unattainable.found, unattainable.families) == (False, 0, {})
