@@ -1,8 +1,9 @@
 """Verifiers for t-fold blocking, minimality, and two-valued spectra.
 
-``verify`` is the one verifier: it counts the set's points on each line once,
-by mask intersection, and decides everything from those exact counts, so
-results are independent of evaluation order.  The predicates are built on it.
+``verify`` is the one verifier: it counts the set's points on each line of
+its own plane once, by mask intersection, and decides everything from those
+exact counts, so results are independent of evaluation order.  The
+predicates are built on it; each takes the set alone, which brings its plane.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .families import PointSet
-    from .plane import IncidencePlane
 
 Spectrum = dict[int, int]
 
@@ -34,19 +34,17 @@ class Verdict:
     failure: str | None
 
 
-def _line_counts(plane: "IncidencePlane", point_set: "PointSet") -> list[int]:
-    if point_set.plane is not plane and point_set.plane != plane:
-        raise ValueError("point set belongs to a different plane")
-    return [(point_set.mask & lm).bit_count() for lm in plane.line_masks]
+def _line_counts(point_set: "PointSet") -> list[int]:
+    return [(point_set.mask & lm).bit_count() for lm in point_set.plane.line_masks]
 
 
 def _tally(counts: list[int]) -> Spectrum:
     return dict(sorted(Counter(counts).items()))
 
 
-def spectrum(plane: "IncidencePlane", point_set: "PointSet") -> Spectrum:
+def spectrum(point_set: "PointSet") -> Spectrum:
     """Map each intersection size to the number of lines attaining it."""
-    return _tally(_line_counts(plane, point_set))
+    return _tally(_line_counts(point_set))
 
 
 def spectrum_to_json(spec: Spectrum) -> str:
@@ -54,14 +52,15 @@ def spectrum_to_json(spec: Spectrum) -> str:
     return json.dumps(dict(sorted(spec.items())))
 
 
-def verify(plane: "IncidencePlane", point_set: "PointSet", t: int) -> Verdict:
+def verify(point_set: "PointSet", t: int) -> Verdict:
     """Decide whether the set is a minimal t-fold blocking set: every line
     meets it in >= t points, some line in exactly t, and each of its points
     lies on such a t-line.  ``failure`` names the first line met in fewer
     than t points, else the missing t-line, else the uncovered point."""
+    plane = point_set.plane
     if not 1 <= t <= plane.order + 1:
         raise ValueError(f"t must be in 1..{plane.order + 1}")
-    counts = _line_counts(plane, point_set)
+    counts = _line_counts(point_set)
     spec = _tally(counts)
     minimal = failure = None
     if min(spec) < t:
@@ -80,19 +79,19 @@ def verify(plane: "IncidencePlane", point_set: "PointSet", t: int) -> Verdict:
     return Verdict(t, point_set.size, minimal is not None, minimal, spec, failure)
 
 
-def is_t_fold_blocking(plane: "IncidencePlane", point_set: "PointSet", t: int) -> bool:
+def is_t_fold_blocking(point_set: "PointSet", t: int) -> bool:
     """True iff every line meets the set in >= t points and some line in exactly t."""
-    return verify(plane, point_set, t).blocking
+    return verify(point_set, t).blocking
 
 
-def is_minimal(plane: "IncidencePlane", point_set: "PointSet", t: int) -> bool:
+def is_minimal(point_set: "PointSet", t: int) -> bool:
     """True iff every point of the set lies on a line met in exactly t points.
 
     Requires the set to be a t-fold blocking set; minimality is undefined
     otherwise and a ValueError is raised rather than conflating "not
     blocking" with "not minimal".
     """
-    verdict = verify(plane, point_set, t)
+    verdict = verify(point_set, t)
     if not verdict.blocking:
         raise ValueError(f"point set is not a {t}-fold blocking set")
     return verdict.minimal

@@ -209,7 +209,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     plane = load_plane(args.plane)
-    verdict = blocking.verify(plane, load_point_set(args.set_path, plane), args.t)
+    verdict = blocking.verify(load_point_set(args.set_path, plane), args.t)
     if args.json:
         print(json.dumps(dataclasses.asdict(verdict)))
     else:
@@ -226,14 +226,18 @@ def _cmd_verify(args) -> int:
 def _cmd_spectrum(args) -> int:
     plane = load_plane(args.plane)
     ps = load_point_set(args.set_path, plane)
-    print(blocking.spectrum_to_json(blocking.spectrum(plane, ps)))
+    print(blocking.spectrum_to_json(blocking.spectrum(ps)))
     return EXIT_OK
 
 
 def _cmd_search(args) -> int:
-    # set files left by an earlier search would read as found by this one
+    # set files left by an earlier search would read as found by this one;
+    # a file at the path would fail os.makedirs, but only after the search
     if args.output and glob.glob(os.path.join(glob.escape(args.output), "set_*.txt")):
         print(f"error: {args.output} already holds set_*.txt files", file=sys.stderr)
+        return EXIT_USAGE
+    if args.output and os.path.exists(args.output) and not os.path.isdir(args.output):
+        print(f"error: {args.output} exists and is not a directory", file=sys.stderr)
         return EXIT_USAGE
     plane = load_plane(args.plane)
     result = exhaustive_extremal_search(SearchTask(plane, args.t, node_budget=args.budget))

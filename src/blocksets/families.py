@@ -123,16 +123,14 @@ def plane_minus_point(plane: IncidencePlane, point: int) -> PointSet:
     return PointSet(plane, ((1 << plane.num_points) - 1) ^ (1 << point))
 
 
-def characterize(plane: IncidencePlane, point_set: PointSet, t: int) -> FamilyLabel:
-    """Family label for a set already verified as extremal at multiplicity t.
+def characterize(point_set: PointSet) -> FamilyLabel:
+    """Family label for a set already verified as extremal.
 
-    Tests the defining line-intersection patterns, not isomorphism to a
-    particular model, so non-classical members of a family are accepted.
-    The label is computed from the set alone.
+    Tests the defining line-intersection patterns in the set's own plane,
+    not isomorphism to a particular model, so non-classical members of a
+    family are accepted.  The label is computed from the set alone.
     """
-    if t < 1:
-        raise ValueError("t must be positive")
-    n = plane.order
+    n = point_set.plane.order
     comp = point_set.complement()
     if comp.size == 1:
         return FamilyLabel.PLANE_MINUS_POINT
@@ -140,10 +138,10 @@ def characterize(plane: IncidencePlane, point_set: PointSet, t: int) -> FamilyLa
     if r * r == n:
         baer_values = {1, r + 1}
         if comp.size == n + r + 1:
-            if set(blocking.spectrum(plane, comp)) <= baer_values:
+            if set(blocking.spectrum(comp)) <= baer_values:
                 return FamilyLabel.BAER_COMPLEMENT
         if point_set.size == n * r + 1:
-            if set(blocking.spectrum(plane, point_set)) <= baer_values:
+            if set(blocking.spectrum(point_set)) <= baer_values:
                 return FamilyLabel.UNITAL
     return FamilyLabel.UNCLASSIFIED
 

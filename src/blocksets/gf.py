@@ -7,9 +7,9 @@ constant term, so 0 is zero and p^(k-1) is one.  ``FieldSpec.element`` and
 the tables are built from polynomial multiplication and reduction on first
 use, which is the only other place polynomials appear.  The reduction
 modulus is the lexicographically smallest monic irreducible polynomial of
-degree k (coefficients compared from the constant term upward), which pins
-one canonical model of GF(p^k) per (p, k) and keeps every downstream
-construction reproducible across runs.
+degree k (coefficients compared from the constant term upward), which
+``FieldSpec`` finds itself: one canonical model of GF(p^k) per (p, k), so
+every downstream construction is reproducible across runs.
 """
 
 from __future__ import annotations
@@ -137,39 +137,32 @@ class FieldTables(NamedTuple):
 
 
 class FieldSpec:
-    """Arithmetic context for GF(p^k) under a fixed irreducible modulus.
+    """Arithmetic context for GF(p^k) under its canonical modulus, which
+    the constructor finds from ``prime_power`` alone (see the module doc).
 
     An element is its index (an ``int`` in ``range(order)``); every operation
     is a lookup in tables built from the polynomial arithmetic on first use.
     """
 
-    def __init__(self, prime_power: PrimePower, modulus: Iterable[int]):
-        modulus = tuple(int(c) for c in modulus)
+    def __init__(self, prime_power: PrimePower):
         p, k = prime_power.p, prime_power.k
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree k")
-        if any(not 0 <= c < p for c in modulus):
-            raise ValueError("modulus coefficients must lie in [0, p)")
-        if not _is_irreducible(modulus, p):
-            raise ValueError("modulus is reducible")
         self.prime_power = prime_power
         self.p = p
         self.k = k
         self.order = prime_power.q
-        self.modulus = modulus
+        self.modulus = next(
+            mod for mod in ((*_decode_lex(m, p, k), 1) for m in range(p**k))
+            if _is_irreducible(mod, p)
+        )
         self.zero: FieldElement = 0
         self.one: FieldElement = p ** (k - 1)
         self._tables: FieldTables | None = None
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FieldSpec)
-            and self.prime_power == other.prime_power
-            and self.modulus == other.modulus
-        )
+        return isinstance(other, FieldSpec) and self.prime_power == other.prime_power
 
     def __hash__(self):
-        return hash((self.prime_power, self.modulus))
+        return hash(self.prime_power)
 
     def __repr__(self):
         return f"FieldSpec(GF({self.order}), modulus={list(self.modulus)})"
@@ -286,19 +279,14 @@ class FieldSpec:
 
 
 def make_field(p: int, k: int) -> FieldSpec:
-    """Build GF(p^k) with the lexicographically smallest irreducible modulus.
+    """Build GF(p^k) under its canonical modulus (see ``FieldSpec``).
 
-    Coefficient vectors are compared from the constant term upward, so the
-    result is deterministic across runs and implementations.
+    The degree range and the characteristic cap are checked first, so a p
+    above the cap is refused before the trial-division primality test,
+    which ``PrimePower`` then runs on p.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if not 1 <= k <= MAX_EXTENSION_DEGREE:
         raise ValueError(f"extension degree must be in 1..{MAX_EXTENSION_DEGREE}")
     if p > MAX_CHARACTERISTIC:
         raise ValueError("characteristic too large")
-    for m in range(p**k):
-        candidate = _decode_lex(m, p, k) + [1]
-        if _is_irreducible(candidate, p):
-            return FieldSpec(PrimePower(p**k, p, k), candidate)
-    raise AssertionError("no irreducible polynomial found")
+    return FieldSpec(PrimePower(p**k, p, k))

@@ -112,7 +112,7 @@ def _pruned_search(plane, t, m, b, budget):
         if size == m:
             if all(c >= t for c in counts):
                 ps = PointSet(plane, mask)
-                verdict = blocking.verify(plane, ps, t)
+                verdict = blocking.verify(ps, t)
                 if verdict.minimal and blocking.is_two_valued(verdict.spectrum, t, b):
                     found.append(ps)
             continue
@@ -128,9 +128,9 @@ def _pruned_search(plane, t, m, b, budget):
     return found, nodes, True
 
 
-def family_tally(plane: IncidencePlane, sets: Sequence[PointSet], t: int) -> dict[str, int]:
+def family_tally(sets: Sequence[PointSet]) -> dict[str, int]:
     """How many sets carry each ``characterize`` label, labels in sorted order."""
-    return dict(sorted(Counter(characterize(plane, ps, t).value for ps in sets).items()))
+    return dict(sorted(Counter(characterize(ps).value for ps in sets).items()))
 
 
 def exhaustive_extremal_search(task: SearchTask) -> SearchResult:
@@ -159,7 +159,7 @@ def exhaustive_extremal_search(task: SearchTask) -> SearchResult:
     m, b = bv.bound, bv.b
     sets, nodes, complete = _pruned_search(plane, t, m, b, task.node_budget)
     seconds = time.perf_counter() - start
-    return SearchResult(t, m, sets, nodes, seconds, complete, family_tally(plane, sets, t))
+    return SearchResult(t, m, sets, nodes, seconds, complete, family_tally(sets))
 
 
 @dataclass

@@ -255,9 +255,9 @@ def extremal_sets_by_enumeration(plane, t):
     for combo in itertools.combinations(range(plane.num_points), bv.bound):
         ps = PointSet.from_indices(plane, combo)
         if (
-            is_t_fold_blocking(plane, ps, t)
-            and is_minimal(plane, ps, t)
-            and is_two_valued(spectrum(plane, ps), t, bv.b)
+            is_t_fold_blocking(ps, t)
+            and is_minimal(ps, t)
+            and is_two_valued(spectrum(ps), t, bv.b)
         ):
             found.append(combo)
     return found

@@ -97,9 +97,9 @@ def test_criterion_4_construction_verification():
                 bv = max_size_bound(n, t)
                 assert bv.attainable
                 assert ps.size == bv.bound
-                assert is_t_fold_blocking(plane, ps, t)
-                assert is_minimal(plane, ps, t)
-                assert is_two_valued(spectrum(plane, ps), t, bv.b)
+                assert is_t_fold_blocking(ps, t)
+                assert is_minimal(ps, t)
+                assert is_two_valued(spectrum(ps), t, bv.b)
 
 
 def test_criterion_5_desk_scale_certification():
@@ -122,7 +122,7 @@ def test_criterion_5_desk_scale_certification():
                 for ps in by_t[2].sets:
                     comp = ps.complement()
                     assert comp.size == 7
-                    assert set(spectrum(plane, comp)) == {1, 3}
+                    assert set(spectrum(comp)) == {1, 3}
 
 
 def test_criterion_6_prune_safety():

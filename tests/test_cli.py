@@ -294,6 +294,24 @@ def test_search_refuses_a_directory_with_set_files(plane_files, tmp_path, capsys
     assert {f.name: f.read_text() for f in out_dir.iterdir()} == before
 
 
+def test_search_refuses_a_file_as_output_before_searching(
+    plane_files, tmp_path, capsys, monkeypatch
+):
+    target = tmp_path / "found"
+    target.write_text("keep\n")
+
+    def no_search(task):
+        raise AssertionError("searched although --output is a file")
+
+    monkeypatch.setattr("blocksets.cli.exhaustive_extremal_search", no_search)
+    code, out, err = run(capsys, "search", "--plane", plane_files["pg24"], "--t", "2",
+                         "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "not a directory" in err
+    assert target.read_text() == "keep\n"
+
+
 def test_search_unattainable_summary(tmp_path, capsys):
     plane = support.desarguesian(2, 1)
     plane_path = tmp_path / "fano.txt"

@@ -25,9 +25,9 @@ def test_unital_sizes():
 
 def test_unital_spectra():
     p4 = support.desarguesian(2, 2)
-    assert set(spectrum(p4, hermitian_unital(p4))) == {1, 3}
+    assert set(spectrum(hermitian_unital(p4))) == {1, 3}
     p9 = support.desarguesian(3, 2)
-    assert set(spectrum(p9, hermitian_unital(p9))) == {1, 4}
+    assert set(spectrum(hermitian_unital(p9))) == {1, 4}
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 4)])
@@ -44,22 +44,22 @@ def test_baer_subplane_sizes_and_spectra():
     p4 = support.desarguesian(2, 2)
     b4 = baer_subplane(p4)
     assert b4.size == 7
-    assert set(spectrum(p4, b4)) == {1, 3}
+    assert set(spectrum(b4)) == {1, 3}
     p9 = support.desarguesian(3, 2)
     b9 = baer_subplane(p9)
     assert b9.size == 13
-    assert set(spectrum(p9, b9)) == {1, 4}
+    assert set(spectrum(b9)) == {1, 4}
 
 
 def test_baer_complement_sizes_and_spectra():
     p4 = support.desarguesian(2, 2)
     c4 = baer_complement(p4)
     assert c4.size == 14
-    assert set(spectrum(p4, c4)) == {2, 4}
+    assert set(spectrum(c4)) == {2, 4}
     p9 = support.desarguesian(3, 2)
     c9 = baer_complement(p9)
     assert c9.size == 78
-    assert set(spectrum(p9, c9)) == {6, 9}
+    assert set(spectrum(c9)) == {6, 9}
 
 
 def test_baer_partition():
@@ -91,14 +91,14 @@ def test_plane_minus_point_fano():
     fano = support.desarguesian(2, 1)
     ps = plane_minus_point(fano, 0)
     assert ps.size == 6
-    assert spectrum(fano, ps) == {2: 3, 3: 4}
+    assert spectrum(ps) == {2: 3, 3: 4}
 
 
 def test_plane_minus_point_pg24():
     plane = support.desarguesian(2, 2)
     ps = plane_minus_point(plane, 5)
     assert ps.size == 20
-    assert spectrum(plane, ps) == {4: 5, 5: 16}
+    assert spectrum(ps) == {4: 5, 5: 16}
 
 
 def test_plane_minus_point_rejects_bad_index():
@@ -141,18 +141,18 @@ def test_families_hit_bound_and_verify(p):
         bv = max_size_bound(n, t)
         assert bv.attainable
         assert ps.size == bv.bound
-        assert is_t_fold_blocking(plane, ps, t)
-        assert is_minimal(plane, ps, t)
-        assert set(spectrum(plane, ps)) == {t, bv.b + 1}
+        assert is_t_fold_blocking(ps, t)
+        assert is_minimal(ps, t)
+        assert set(spectrum(ps)) == {t, bv.b + 1}
 
 
 def test_characterize_constructions():
     plane = support.desarguesian(2, 2)
     fano = support.desarguesian(2, 1)
-    assert characterize(plane, hermitian_unital(plane), 1) is FamilyLabel.UNITAL
-    assert characterize(plane, baer_complement(plane), 2) is FamilyLabel.BAER_COMPLEMENT
+    assert characterize(hermitian_unital(plane)) is FamilyLabel.UNITAL
+    assert characterize(baer_complement(plane)) is FamilyLabel.BAER_COMPLEMENT
     assert (
-        characterize(fano, plane_minus_point(fano, 0), 2)
+        characterize(plane_minus_point(fano, 0))
         is FamilyLabel.PLANE_MINUS_POINT
     )
 
@@ -160,13 +160,13 @@ def test_characterize_constructions():
 def test_characterize_unclassified():
     plane = support.desarguesian(2, 2)
     line = PointSet.from_indices(plane, plane.lines[0])
-    assert characterize(plane, line, 1) is FamilyLabel.UNCLASSIFIED
+    assert characterize(line) is FamilyLabel.UNCLASSIFIED
     # right size for a unital but wrong spectrum: 9 points containing a line
     off_line = [i for i in range(plane.num_points) if i not in plane.lines[0]]
     bad = PointSet.from_indices(plane, list(plane.lines[0]) + off_line[:4])
     assert bad.size == 9
-    if set(spectrum(plane, bad)) != {1, 3}:
-        assert characterize(plane, bad, 1) is FamilyLabel.UNCLASSIFIED
+    if set(spectrum(bad)) != {1, 3}:
+        assert characterize(bad) is FamilyLabel.UNCLASSIFIED
 
 
 def test_point_set_basics():

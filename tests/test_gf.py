@@ -65,11 +65,30 @@ def test_make_field_deterministic():
     assert make_field(2, 4) == make_field(2, 4)
 
 
-def test_fieldspec_rejects_reducible_modulus():
-    with pytest.raises(ValueError):
-        FieldSpec(PrimePower(4, 2, 2), (0, 0, 1))  # x^2 = x * x
-    with pytest.raises(ValueError):
-        FieldSpec(PrimePower(4, 2, 2), (1, 1))  # wrong degree
+def test_fieldspec_finds_its_own_modulus():
+    spec = FieldSpec(PrimePower(9, 3, 2))
+    assert spec.modulus == (1, 0, 1) == make_field(3, 2).modulus
+    assert spec == make_field(3, 2) and hash(spec) == hash(make_field(3, 2))
+    assert spec != make_field(2, 3)
+
+
+def test_make_field_checks_caps_before_primality(monkeypatch):
+    import blocksets.gf
+
+    tested = []
+    real, cap = blocksets.gf.is_prime, blocksets.gf.MAX_CHARACTERISTIC
+
+    def recording_is_prime(m):
+        tested.append(m)
+        return m > cap or real(m)  # a p above the cap is not tested, only recorded
+
+    monkeypatch.setattr(blocksets.gf, "is_prime", recording_is_prime)
+    for p in (2**61 - 1, cap + 1):
+        with pytest.raises(ValueError, match="characteristic too large"):
+            make_field(p, 1)
+    assert tested == []
+    make_field(3, 2)
+    assert tested == [3]
 
 
 def test_gf4_multiplication():

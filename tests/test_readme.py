@@ -1,7 +1,11 @@
-"""The README's library example runs, and prints what its comments say."""
+"""The README's library example runs, and prints what its comments say;
+its command-line block runs too, line by line."""
 
 import re
+import shlex
 from pathlib import Path
+
+from blocksets import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,3 +27,24 @@ def test_readme_example_prints_its_comments(capsys):
     assert expected
     exec(compile(code, str(README), "exec"), {})
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def _command_lines() -> list[list[str]]:
+    """The arguments of each ``blocksets ...`` line of README's command block."""
+    blocks = re.findall(r"^```\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("blocksets ")]
+    assert lines, "README should show the blocksets command line"
+    return [shlex.split(line, comments=True)[1:] for line in lines]
+
+
+def test_readme_command_lines_run_in_order(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _command_lines()
+    assert ["bound", "4", "1"] in commands
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if argv == ["bound", "4", "1"]:
+            assert out == "bound=9 b=2 attainable=true\n"

@@ -44,9 +44,9 @@ def test_results_pass_independent_verifier():
     bv = max_size_bound(3, 3)
     for ps in result.sets:
         assert ps.size == bv.bound
-        assert is_t_fold_blocking(plane, ps, 3)
-        assert is_minimal(plane, ps, 3)
-        assert is_two_valued(spectrum(plane, ps), 3, bv.b)
+        assert is_t_fold_blocking(ps, 3)
+        assert is_minimal(ps, 3)
+        assert is_two_valued(spectrum(ps), 3, bv.b)
 
 
 def test_unattainable_bound_is_vacuous():
@@ -194,7 +194,7 @@ def test_certify_characterizes_found_sets():
     assert entry.found == 13
     assert entry.families == {FamilyLabel.PLANE_MINUS_POINT.value: 13}
     for ps in entry.sets:
-        assert characterize(plane, ps, 3) is FamilyLabel.PLANE_MINUS_POINT
+        assert characterize(ps) is FamilyLabel.PLANE_MINUS_POINT
 
 
 @pytest.mark.parametrize("k", [1, 2], ids=["pg22", "pg24"])
@@ -249,7 +249,7 @@ def test_search_result_families_recount_on_pg24(t, label):
     assert result.sets and result.found == len(result.sets)
     recount = {}
     for ps in result.sets:
-        name = characterize(plane, ps, t).value
+        name = characterize(ps).value
         recount[name] = recount.get(name, 0) + 1
     assert result.families == recount == {label: result.found}
     assert result.summary() == {"t": t, "size": result.size, "found": result.found,
