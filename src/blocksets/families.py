@@ -89,9 +89,10 @@ def hermitian_unital(plane: IncidencePlane) -> PointSet:
     """
     f = _coordinate_field(plane)
     norm = [f.relative_norm(a) for a in f.elements()]
+    add = f.int_tables().add
     mask = 0
     for idx, (x, y, z) in enumerate(plane.point_coords):
-        if f.add(f.add(norm[x], norm[y]), norm[z]) == f.zero:
+        if add[add[norm[x]][norm[y]]][norm[z]] == 0:
             mask |= 1 << idx
     return PointSet(plane, mask)
 

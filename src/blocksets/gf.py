@@ -4,11 +4,12 @@ An element is an ``int``: the position of its coefficient vector over Z_p
 in the polynomial basis, vectors ordered lexicographically from the
 constant term, so 0 is zero and p^(k-1) is one.  ``FieldSpec.element`` and
 ``FieldSpec.coeffs`` convert between the two.  Arithmetic is table lookup;
-the tables are built from polynomial multiplication and reduction on first
-use, which is the only other place polynomials appear.  The reduction
-modulus is the lexicographically smallest monic irreducible polynomial of
-degree k (coefficients compared from the constant term upward), which
-``FieldSpec`` finds itself: one canonical model of GF(p^k) per (p, k), so
+on first use, addition is tabulated digit by digit and multiplication from
+exp/log tables of a generator, whose powers are the only other place
+polynomials are multiplied.  The reduction modulus is the lexicographically
+smallest monic irreducible polynomial of degree k (coefficients compared
+from the constant term upward), which ``FieldSpec`` finds itself with
+Ben-Or's irreducibility test: one canonical model of GF(p^k) per (p, k), so
 every downstream construction is reproducible across runs.
 """
 
@@ -116,14 +117,31 @@ def _encode_lex(coeffs, p: int) -> int:
     return idx
 
 
+def _mul_mod(a, b, mod, p):
+    return _poly_rem(_poly_mul(a, b, p), mod, p)
+
+
 def _is_irreducible(poly, p) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg/2."""
+    """Ben-Or's test of a monic polynomial of degree k: no factor of degree
+    i <= k/2, i.e. gcd(poly, x^(p^i) - x) = 1 for i = 1 .. k/2."""
     k = len(poly) - 1
-    for d in range(1, k // 2 + 1):
-        for m in range(p**d):
-            div = _decode_lex(m, p, d) + [1]
-            if not any(_poly_rem(poly, div, p)):
-                return False
+    xpow = [0, 1]  # x^(p^i) mod poly
+    for _ in range(k // 2):
+        base, e, xpow = xpow, p, [1]
+        while e:
+            if e & 1:
+                xpow = _mul_mod(xpow, base, poly, p)
+            base = _mul_mod(base, base, poly, p)
+            e >>= 1
+        a, b = list(poly), [c % p for c in xpow]
+        b[1] = (b[1] - 1) % p
+        while any(b):  # Euclid's algorithm, each divisor made monic
+            while not b[-1]:
+                b.pop()
+            lead = pow(b[-1], -1, p)
+            a, b = b, _poly_rem(a, [c * lead % p for c in b], p)
+        if len(a) > 1:
+            return False
     return True
 
 
@@ -141,7 +159,7 @@ class FieldSpec:
     the constructor finds from ``prime_power`` alone (see the module doc).
 
     An element is its index (an ``int`` in ``range(order)``); every operation
-    is a lookup in tables built from the polynomial arithmetic on first use.
+    is a lookup in tables built on first use (see ``int_tables``).
     """
 
     def __init__(self, prime_power: PrimePower):
@@ -150,8 +168,10 @@ class FieldSpec:
         self.p = p
         self.k = k
         self.order = prime_power.q
+        # for k >= 2 a constant term of 0 makes x a factor, so start at 1
+        first = p ** (k - 1) if k > 1 else 0
         self.modulus = next(
-            mod for mod in ((*_decode_lex(m, p, k), 1) for m in range(p**k))
+            mod for mod in ((*_decode_lex(m, p, k), 1) for m in range(first, p**k))
             if _is_irreducible(mod, p)
         )
         self.zero: FieldElement = 0
@@ -196,7 +216,10 @@ class FieldSpec:
     # -- arithmetic -----------------------------------------------------------
 
     def int_tables(self) -> FieldTables:
-        """The lookup tables of the field, built on first use and cached.
+        """The lookup tables of the field, built on first use and cached:
+        ``add`` digit by digit, ``mul`` and ``inv`` from the powers of the
+        first element (in index order) that generates the multiplicative
+        group, so mul[a][b] = g^(log a + log b).
 
         Each table has order^2 entries, so a field whose order exceeds
         MAX_TABLE_ORDER can be made and converted but has no arithmetic.
@@ -206,18 +229,35 @@ class FieldSpec:
                 raise ValueError(
                     f"field order {self.order} exceeds table cap {MAX_TABLE_ORDER}"
                 )
-            p, k, mod = self.p, self.k, self.modulus
-            vecs = [_decode_lex(i, p, k) for i in range(self.order)]
-            add = [
-                [_encode_lex([(x + y) % p for x, y in zip(a, b)], p) for b in vecs]
-                for a in vecs
-            ]
-            mul = [
-                [_encode_lex(_poly_rem(_poly_mul(a, b, p), mod, p), p) for b in vecs]
-                for a in vecs
-            ]
+            p, k, q, one = self.p, self.k, self.order, self.one
+            # add digit by digit: an index's base-p digits are its coefficients
+            if p == 2:
+                add = [[a ^ b for b in range(q)] for a in range(q)]
+            else:
+                add = []
+                for a in range(q):
+                    row = [0]
+                    for d in _decode_lex(a, p, k):
+                        shifted = [(d + y) % p for y in range(p)]
+                        row = [r * p + s for r in row for s in shifted]
+                    add.append(row)
+            # exp[i] = g^i for the first g of multiplicative order q - 1
+            for g in range(1, q):
+                gv = v = _decode_lex(g, p, k)
+                exp = [one]
+                while (e := _encode_lex(v, p)) != one:
+                    exp.append(e)
+                    v = _mul_mod(v, gv, self.modulus, p)
+                if len(exp) == q - 1:
+                    break
+            log = [0] * q
+            for i, e in enumerate(exp):
+                log[e] = i
+            exp2 = exp + exp  # exp2[i + j] = g^(i+j) for i, j < q - 1
+            mul = [[0] * q]
+            mul.extend([0, *(exp2[la + lb] for lb in log[1:])] for la in log[1:])
             inv: list[int | None] = [None]
-            inv.extend(row.index(self.one) for row in mul[1:])
+            inv.extend(exp[-la] for la in log[1:])
             self._tables = FieldTables(add, [row.index(0) for row in add], mul, inv)
         return self._tables
 

@@ -11,6 +11,7 @@ assumes coordinates exist.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .gf import FieldElement, FieldSpec
 
@@ -38,9 +39,12 @@ class IncidencePlane:
     """A projective plane of order n as indexed points and sorted line lists.
 
     Immutable after construction.  The point universe is 0 .. n^2+n, and each
-    line is stored as a sorted tuple of point indices together with a
-    bitmask over the universe for fast intersection counting.  A point
-    index out of range or a line that repeats a point raises ValueError.
+    line is stored as a sorted tuple of point indices.  A point index out of
+    range or a line that repeats a point raises ValueError.  The incidence
+    indices, ``line_masks`` (a bitmask over the universe per line, for fast
+    intersection counting) and ``point_lines`` (the lines through each
+    point), are computed from the lines on first use, so a plane that is
+    only built and written never pays for them.
     """
 
     def __init__(
@@ -56,28 +60,40 @@ class IncidencePlane:
         self.num_points = order * order + order + 1
         self.num_lines = len(lines)
         checked = []
-        masks = []
-        through: list[list[int]] = [[] for _ in range(self.num_points)]
         for j, line in enumerate(lines):
             pts = tuple(sorted(line))
             if pts and not (0 <= pts[0] and pts[-1] < self.num_points):
                 bad = next(i for i in pts if not 0 <= i < self.num_points)
                 raise ValueError(f"point index {bad} out of range")
+            if len(set(pts)) != len(pts):
+                raise ValueError(f"line {j} repeats a point")
+            checked.append(pts)
+        self.lines: tuple[tuple[int, ...], ...] = tuple(checked)
+        self.field = fieldspec
+        self.point_coords = point_coords
+
+    @cached_property
+    def _incidence(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(line_masks, point_lines), built together in one pass on first use."""
+        masks = []
+        through: list[list[int]] = [[] for _ in range(self.num_points)]
+        for j, pts in enumerate(self.lines):
             mask = 0
             for i in pts:
                 mask |= 1 << i
                 through[i].append(j)
-            if mask.bit_count() != len(pts):
-                raise ValueError(f"line {j} repeats a point")
-            checked.append(pts)
             masks.append(mask)
-        self.lines: tuple[tuple[int, ...], ...] = tuple(checked)
-        self.line_masks: tuple[int, ...] = tuple(masks)
-        self.point_lines: tuple[tuple[int, ...], ...] = tuple(
-            tuple(ls) for ls in through
-        )
-        self.field = fieldspec
-        self.point_coords = point_coords
+        return tuple(masks), tuple(tuple(ls) for ls in through)
+
+    @cached_property
+    def line_masks(self) -> tuple[int, ...]:
+        """Bitmask over the point universe of each line."""
+        return self._incidence[0]
+
+    @cached_property
+    def point_lines(self) -> tuple[tuple[int, ...], ...]:
+        """Indices of the lines through each point."""
+        return self._incidence[1]
 
     def __eq__(self, other):
         return (
@@ -220,11 +236,12 @@ def verify_plane_axioms(plane: IncidencePlane) -> AxiomReport:
 
 
 def save_plane(plane: IncidencePlane, path) -> None:
-    """Write a plane in the text format accepted by load_plane."""
+    """Write a plane in the text format accepted by load_plane, streaming
+    line by line and turning each point index into text once."""
+    name = list(map(str, range(plane.num_points))).__getitem__
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"order {plane.order}\n")
-        for pts in plane.lines:
-            fh.write(" ".join(str(i) for i in pts) + "\n")
+        fh.writelines(" ".join(map(name, pts)) + "\n" for pts in plane.lines)
 
 
 def read_rows(path) -> list[tuple[int, str]]:

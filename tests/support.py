@@ -1,15 +1,17 @@
 """Shared oracles and exhaustive checkers for the test suite.
 
 Everything here is deliberately independent of the implementation paths it
-checks: reducibility is decided by multiplying smaller polynomials; field
-arithmetic, PG(2, q), the unital and the Baer subplane are recomputed on
-coefficient tuples by plain enumeration; a plane also comes from an XOR
-construction; plane axioms are checked by counting the lines through every
-pair of points; equality solutions are found by plain two-dimensional
-enumeration; and extremal sets are found by filtering every subset of the
-bound's size through the public verifiers, with no prune; the verifier
-itself is checked against line members counted from ``plane.lines`` and a
-Python set.
+checks: reducibility is decided by multiplying smaller polynomials or by
+trial division; field tables are rebuilt by polynomial multiplication and
+reduction of every pair; field arithmetic, PG(2, q), the unital and the
+Baer subplane are recomputed on coefficient tuples by plain enumeration; a
+plane also comes from an XOR construction; the incidence indices of a plane
+are rebuilt from its lines; plane axioms are checked by counting the lines
+through every pair of points; equality solutions are found by plain
+two-dimensional enumeration; and extremal sets are found by filtering every
+subset of the bound's size through the public verifiers, with no prune; the
+verifier itself is checked against line members counted from
+``plane.lines`` and a Python set.
 """
 
 from __future__ import annotations
@@ -72,6 +74,44 @@ def irreducible_monics_by_products(p, k):
             for g in monic_polys(p, k - d):
                 reducible.add(_poly_mul_mod(f, g, p))
     return [f for f in monic_polys(p, k) if f not in reducible]
+
+
+def _poly_rem(a, mod, p):
+    """Remainder of a modulo a monic polynomial, k = deg(mod) coefficients."""
+    a = list(a)
+    dm = len(mod) - 1
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = a[i]
+        if c:
+            for j in range(dm + 1):
+                a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
+    return tuple(a[:dm]) + (0,) * (dm - len(a))
+
+
+def is_irreducible_by_trial_division(poly, p):
+    """No monic divisor of degree 1 .. deg/2 leaves remainder zero."""
+    k = len(poly) - 1
+    divisors = (div for d in range(1, k // 2 + 1) for div in monic_polys(p, d))
+    return all(any(_poly_rem(poly, div, p)) for div in divisors)
+
+
+def modulus_by_trial_division(p, k):
+    """The first monic irreducible of degree k in constant-term-first lex order."""
+    return next(f for f in monic_polys(p, k) if is_irreducible_by_trial_division(f, p))
+
+
+def tables_by_polynomials(spec: FieldSpec):
+    """(add, neg, mul, inv) over element indices, every entry from adding or
+    multiplying and reducing the coefficient tuples of its two operands."""
+    p, mod = spec.p, spec.modulus
+    k = len(mod) - 1
+    vecs = list(itertools.product(range(p), repeat=k))
+    index = {v: i for i, v in enumerate(vecs)}
+    add = [[index[tuple((x + y) % p for x, y in zip(a, b))] for b in vecs] for a in vecs]
+    mul = [[index[_poly_rem(_poly_mul_mod(a, b, p), mod, p)] for b in vecs] for a in vecs]
+    one = index[(1,) + (0,) * (k - 1)]
+    inv = [None] + [row.index(one) for row in mul[1:]]
+    return add, [row.index(0) for row in add], mul, inv
 
 
 class TupleField:
@@ -202,6 +242,16 @@ def xor_fano_lines():
         if triple[0] ^ triple[1] ^ triple[2] == 0:
             lines.append(tuple(x - 1 for x in triple))
     return lines
+
+
+def incidence_by_lines(plane):
+    """(line masks, lines through each point) rebuilt from ``plane.lines``."""
+    masks = tuple(sum(1 << i for i in line) for line in plane.lines)
+    through = tuple(
+        tuple(j for j, line in enumerate(plane.lines) if i in line)
+        for i in range(plane.num_points)
+    )
+    return masks, through
 
 
 def plane_axioms_hold_by_pair_sets(order, lines):

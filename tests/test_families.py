@@ -30,7 +30,7 @@ def test_unital_spectra():
     assert set(spectrum(hermitian_unital(p9))) == {1, 4}
 
 
-@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 4)])
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 4), (5, 2)])
 def test_family_masks_match_tuple_oracle(p, k):
     plane = support.desarguesian(p, k)
     unital, baer = support.unital_and_baer_masks_by_enumeration(

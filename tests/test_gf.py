@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 import support
@@ -58,6 +60,32 @@ def test_gf9_modulus_lex_smallest():
 def test_modulus_is_lex_smallest_irreducible(p, k):
     irr = support.irreducible_monics_by_products(p, k)
     assert make_field(p, k).modulus == min(irr)
+
+
+def test_modulus_matches_trial_division_oracle():
+    prime_powers = [
+        (p, k) for p in range(2, 32) if is_prime(p) for k in range(2, 11) if p**k <= 1024
+    ]
+    assert len(prime_powers) == 26
+    for p, k in prime_powers:
+        assert make_field(p, k).modulus == support.modulus_by_trial_division(p, k), (p, k)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_modulus_search_is_fast_for_a_large_characteristic(k):
+    p = 2**31 - 1
+    start = time.perf_counter()
+    modulus = make_field(p, k).modulus
+    assert time.perf_counter() - start < 1.0
+    assert len(modulus) == k + 1 and modulus[0] == modulus[-1] == 1
+    if k == 2:
+        # x^2 + bx + 1 is irreducible iff b^2 - 4 is a non-square mod p
+        # (Euler's criterion), and the modulus takes the first such b
+        def square(d):
+            return d % p == 0 or pow(d, (p - 1) // 2, p) == 1
+
+        b = modulus[1]
+        assert not square(b * b - 4) and all(square(c * c - 4) for c in range(b))
 
 
 def test_make_field_deterministic():
@@ -205,6 +233,13 @@ def test_table_arithmetic_matches_tuple_oracle(p, k):
         for j, b in enumerate(elems):
             assert elems[spec.add(i, j)] == oracle.add(a, b)
             assert elems[spec.mul(i, j)] == oracle.mul(a, b)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128])
+def test_int_tables_match_polynomial_oracle(q):
+    pp = PrimePower.from_order(q)
+    f = make_field(pp.p, pp.k)
+    assert tuple(f.int_tables()) == support.tables_by_polynomials(f)
 
 
 def test_tables_are_built_on_first_use():

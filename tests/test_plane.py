@@ -9,11 +9,14 @@ import support
 from blocksets import (
     IncidencePlane,
     PlaneFormatError,
+    baer_complement,
     build_desarguesian_plane,
+    hermitian_unital,
     load_plane,
     save_plane,
     verify_plane_axioms,
 )
+from blocksets.cli import main
 
 
 def test_fano_counts():
@@ -381,3 +384,53 @@ def test_swapped_pg232_check_keeps_no_per_pair_state():
     assert not report.ok
     assert report.first_failure().startswith("points ")
     assert peak < 1 << 20
+
+
+# -- incidence indices on first use --------------------------------------------
+
+_INDICES = ("_incidence", "line_masks", "point_lines")
+
+
+def test_construct_path_computes_no_incidence_index(tmp_path):
+    plane = build_desarguesian_plane(support.field(3, 2))
+    hermitian_unital(plane)
+    baer_complement(plane)
+    save_plane(plane, tmp_path / "pg29.txt")
+    assert not set(_INDICES) & set(vars(plane))
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_incidence_indices_match_eager_oracle(p, k):
+    plane = build_desarguesian_plane(support.field(p, k))
+    masks, through = support.incidence_by_lines(plane)
+    assert plane.point_lines == through
+    assert plane.line_masks == masks
+    assert set(_INDICES) <= set(vars(plane))
+
+
+def test_incidence_indices_of_xor_fano_and_unsorted_relabelled_lines():
+    fano = IncidencePlane(2, support.xor_fano_lines())
+    assert (fano.line_masks, fano.point_lines) == support.incidence_by_lines(fano)
+    rng = random.Random(3)
+    relabel = list(range(13))
+    rng.shuffle(relabel)
+    lines = [[relabel[i] for i in line] for line in support.desarguesian(3, 1).lines]
+    for line in lines:
+        rng.shuffle(line)
+    assert any(line != sorted(line) for line in lines)
+    plane = IncidencePlane(3, lines)
+    assert plane.lines == tuple(tuple(sorted(line)) for line in lines)
+    assert (plane.line_masks, plane.point_lines) == support.incidence_by_lines(plane)
+    assert verify_plane_axioms(plane).ok
+
+
+def test_construct_minus_point_64_memory_peak(tmp_path):
+    argv = ["construct", "minus-point", "64", "--plane-out", str(tmp_path / "pg64.txt"),
+            "--output", str(tmp_path / "set.txt")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
