@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import getitem
 
 from .gf import FieldElement, FieldSpec
 
@@ -43,8 +44,9 @@ class IncidencePlane:
     range or a line that repeats a point raises ValueError.  The incidence
     indices, ``line_masks`` (a bitmask over the universe per line, for fast
     intersection counting) and ``point_lines`` (the lines through each
-    point), are computed from the lines on first use, so a plane that is
-    only built and written never pays for them.
+    point), are computed from the lines on first use.  A plane from
+    ``build_desarguesian_plane`` also computes its ``lines`` on first read,
+    so a plane that is only built to construct a family never pays for them.
     """
 
     def __init__(
@@ -56,21 +58,41 @@ class IncidencePlane:
     ):
         if order < 2:
             raise ValueError("plane order must be at least 2")
-        self.order = order
-        self.num_points = order * order + order + 1
-        self.num_lines = len(lines)
+        num_points = order * order + order + 1
         checked = []
         for j, line in enumerate(lines):
             pts = tuple(sorted(line))
-            if pts and not (0 <= pts[0] and pts[-1] < self.num_points):
-                bad = next(i for i in pts if not 0 <= i < self.num_points)
+            if pts and not (0 <= pts[0] and pts[-1] < num_points):
+                bad = next(i for i in pts if not 0 <= i < num_points)
                 raise ValueError(f"point index {bad} out of range")
             if len(set(pts)) != len(pts):
                 raise ValueError(f"line {j} repeats a point")
             checked.append(pts)
-        self.lines: tuple[tuple[int, ...], ...] = tuple(checked)
+        self._fill(order, tuple(checked), fieldspec, point_coords)
+
+    @classmethod
+    def _unchecked(cls, order, lines, fieldspec=None, point_coords=None) -> IncidencePlane:
+        """A plane on lines already known to be sorted tuples of distinct
+        in-range indices; ``lines=None`` leaves the n^2+n+1 lines of PG(2, n)
+        to be made from ``fieldspec`` and ``point_coords`` on first read."""
+        plane = cls.__new__(cls)
+        plane._fill(order, lines, fieldspec, point_coords)
+        return plane
+
+    def _fill(self, order, lines, fieldspec, point_coords) -> None:
+        self.order = order
+        self.num_points = order * order + order + 1
+        self.num_lines = self.num_points if lines is None else len(lines)
+        if lines is not None:
+            self.lines = lines
         self.field = fieldspec
         self.point_coords = point_coords
+
+    @cached_property
+    def lines(self) -> tuple[tuple[int, ...], ...]:
+        """Each line as a sorted tuple of point indices.  Every plane but a
+        built PG(2, q) holds them from construction on."""
+        return _desarguesian_lines(self.field, self.point_coords)
 
     @cached_property
     def _incidence(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -139,35 +161,48 @@ def build_desarguesian_plane(spec: FieldSpec) -> IncidencePlane:
     (0:0:1) is point 0, (0:1:z) is point 1+z and (1:y:z) is point
     1+q+q*y+z.  Line j is the dual triple [a:b:c] of point j, incident with
     (x:y:z) exactly when ax + by + cz = 0, so two builds of the same field
-    yield identical structures.
+    yield identical structures.  The plane holds the point triples; its
+    lines are made from the field tables when they are first read (to be
+    written, searched or verified).
     """
     q = spec.order
     check_plane_cap(q)
-    add, neg, mul, inv = spec.int_tables()
     one = spec.one
     triples = [(0, 0, one)]
     triples.extend((0, one, z) for z in range(q))
     triples.extend((one, y, z) for y in range(q) for z in range(q))
+    return IncidencePlane._unchecked(q, None, fieldspec=spec, point_coords=triples)
 
-    # One int object per point, shared by the q+1 lines through it;
-    # affine[y][z] is the point (1:y:z).
-    point = list(range(q * q + q + 1))
-    affine = [point[1 + q + q * y : 1 + 2 * q + q * y] for y in range(q)]
+
+def _desarguesian_lines(
+    spec: FieldSpec, triples: list[ProjPoint]
+) -> tuple[tuple[int, ...], ...]:
+    """The lines of PG(2, q), line j the dual of point j, as sorted tuples.
+
+    Each comes out sorted and distinct from the numbering alone: the points
+    of a line are one point with x = 0, then one (1:y:z) per y in order; or
+    (0:0:1), then the q points (1:y:z) of one y; or the q+1 points with x = 0.
+    """
+    q = spec.order
+    add, neg, mul, inv = spec.int_tables()
+    # affine[y][z] is the point (1:y:z): one int object per point, shared by
+    # the q+1 lines through it (the points with x = 0 are cached small ints)
+    affine = [tuple(range(1 + q + q * y, 1 + 2 * q + q * y)) for y in range(q)]
     lines = []
     for a, b, c in triples:
         if c:
-            # z = m*(a*x + b*y) with m = -1/c, for (0:1:z) and each (1:y:z)
-            add_a, row_b, row_m = add[a], mul[b], mul[neg[inv[c]]]
-            on_line = [point[1 + row_m[b]]]
-            on_line += [pts_y[row_m[add_a[b_y]]] for pts_y, b_y in zip(affine, row_b)]
+            # z = m*a + m*b*y with m = -1/c, for (0:1:z) and each (1:y:z)
+            row_m = mul[neg[inv[c]]]
+            mb = row_m[b]
+            z_of_y = map(add[row_m[a]].__getitem__, mul[mb])
+            lines.append((1 + mb, *map(getitem, affine, z_of_y)))
         elif b:
             # (0:0:1) and the points (1:y:z) with y = -a/b
-            on_line = [point[0], *affine[mul[neg[a]][inv[b]]]]
+            lines.append((0,) + affine[mul[neg[a]][inv[b]]])
         else:
             # the line x = 0
-            on_line = point[: q + 1]
-        lines.append(on_line)
-    return IncidencePlane(q, lines, fieldspec=spec, point_coords=triples)
+            lines.append(tuple(range(q + 1)))
+    return tuple(lines)
 
 
 _MAX_REPORTED_FAILURES = 25
@@ -294,20 +329,22 @@ def load_plane(path) -> IncidencePlane:
     lines = []
     for lineno, text in body:
         try:
-            pts = list(map(int, text.split()))
+            pts = sorted(map(int, text.split()))
         except ValueError:
             raise PlaneFormatError(f"line {lineno}: non-integer point index") from None
         if len(pts) != n + 1:
             raise PlaneFormatError(f"line {lineno}: line cardinality != n+1")
         if len(set(pts)) != len(pts):
-            rep = next(i for k, i in enumerate(pts) if i in pts[:k])
+            # name the first index that repeats, in the file's order
+            raw = list(map(int, text.split()))
+            rep = next(i for k, i in enumerate(raw) if i in raw[:k])
             raise PlaneFormatError(f"line {lineno}: point {rep} repeated")
-        if min(pts) < 0 or max(pts) >= expected:
-            bad = next(i for i in pts if not 0 <= i < expected)
+        if pts[0] < 0 or pts[-1] >= expected:
+            bad = next(i for i in map(int, text.split()) if not 0 <= i < expected)
             raise PlaneFormatError(f"line {lineno}: point index {bad} out of range")
-        lines.append(pts)
+        lines.append(tuple(pts))
 
-    plane = IncidencePlane(n, lines)
+    plane = IncidencePlane._unchecked(n, tuple(lines))
     report = verify_plane_axioms(plane)
     if not report.ok:
         raise PlaneFormatError(f"plane axioms violated: {report.first_failure()}")

@@ -9,14 +9,19 @@ import support
 from blocksets import (
     IncidencePlane,
     PlaneFormatError,
+    SearchTask,
     baer_complement,
+    baer_subplane,
     build_desarguesian_plane,
+    exhaustive_extremal_search,
     hermitian_unital,
     load_plane,
+    plane_minus_point,
     save_plane,
     verify_plane_axioms,
 )
 from blocksets.cli import main
+from blocksets.families import format_point_set
 
 
 def test_fano_counts():
@@ -408,16 +413,21 @@ def test_incidence_indices_match_eager_oracle(p, k):
     assert set(_INDICES) <= set(vars(plane))
 
 
+def _relabelled_pg23_rows(seed):
+    rng = random.Random(seed)
+    relabel = list(range(13))
+    rng.shuffle(relabel)
+    rows = [[relabel[i] for i in line] for line in support.desarguesian(3, 1).lines]
+    for row in rows:
+        rng.shuffle(row)
+    assert any(row != sorted(row) for row in rows)
+    return rows
+
+
 def test_incidence_indices_of_xor_fano_and_unsorted_relabelled_lines():
     fano = IncidencePlane(2, support.xor_fano_lines())
     assert (fano.line_masks, fano.point_lines) == support.incidence_by_lines(fano)
-    rng = random.Random(3)
-    relabel = list(range(13))
-    rng.shuffle(relabel)
-    lines = [[relabel[i] for i in line] for line in support.desarguesian(3, 1).lines]
-    for line in lines:
-        rng.shuffle(line)
-    assert any(line != sorted(line) for line in lines)
+    lines = _relabelled_pg23_rows(3)
     plane = IncidencePlane(3, lines)
     assert plane.lines == tuple(tuple(sorted(line)) for line in lines)
     assert (plane.line_masks, plane.point_lines) == support.incidence_by_lines(plane)
@@ -433,4 +443,73 @@ def test_construct_minus_point_64_memory_peak(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 << 20
+    assert peak < 4.5 * (1 << 20)
+
+
+# -- the lines of a built plane on first read ------------------------------------
+
+
+def test_families_leave_built_lines_uncomputed():
+    plane = build_desarguesian_plane(support.field(3, 2))
+    for ps in (hermitian_unital(plane), baer_subplane(plane), baer_complement(plane),
+               plane_minus_point(plane, 7)):
+        format_point_set(ps)
+    assert plane.num_lines == plane.num_points == 91
+    assert "lines" not in vars(plane)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda plane, path: save_plane(plane, path),
+        lambda plane, path: plane.line_masks,
+        lambda plane, path: plane.point_lines,
+        lambda plane, path: exhaustive_extremal_search(SearchTask(plane, 2, node_budget=50)),
+    ],
+    ids=["save_plane", "line_masks", "point_lines", "search"],
+)
+def test_readers_compute_built_lines(tmp_path, read):
+    plane = build_desarguesian_plane(support.field(2, 2))
+    assert "lines" not in vars(plane)
+    read(plane, tmp_path / "pg24.txt")
+    assert plane.lines is vars(plane)["lines"]
+    assert plane.lines == support.desarguesian(2, 2).lines
+
+
+def _write_plane(path, order, rows):
+    with open(path, "w") as fh:
+        fh.write("# a comment, so row j is on file line j + 3\n")
+        fh.write(f"order {order}\n")
+        for pts in rows:
+            fh.write(" ".join(str(i) for i in pts) + "\n")
+
+
+def test_load_sorts_unsorted_relabelled_rows_like_the_constructor(tmp_path):
+    rows = _relabelled_pg23_rows(5)
+    _write_plane(tmp_path / "plane.txt", 3, rows)
+    loaded = load_plane(tmp_path / "plane.txt")
+    assert loaded.lines == IncidencePlane(3, rows).lines
+    assert all(type(line) is tuple for line in loaded.lines)
+    assert loaded == IncidencePlane(3, rows)
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ([6, 2, 6, 2], "line 5: point 6 repeated"),
+        ([99, 99, 1, 2], "line 5: point 99 repeated"),
+        ([20, 3, -1, 4], "line 5: point index 20 out of range"),
+        ([3, -1, 20, 4], "line 5: point index -1 out of range"),
+        ([0, 1, 2], "line 5: line cardinality != n+1"),
+        ([0, 1, 2, 3, 4], "line 5: line cardinality != n+1"),
+        (["0", "1", "x", "3"], "line 5: non-integer point index"),
+    ],
+)
+def test_load_names_the_first_bad_index_in_file_order(tmp_path, row, message):
+    rows = _relabelled_pg23_rows(5)
+    rows[2] = row
+    rows[7] = [0, 0, 0, 0]
+    _write_plane(tmp_path / "plane.txt", 3, rows)
+    with pytest.raises(PlaneFormatError) as info:
+        load_plane(tmp_path / "plane.txt")
+    assert str(info.value) == message
