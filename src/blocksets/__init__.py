@@ -10,8 +10,6 @@ planes.
 
 from .blocking import (
     Spectrum,
-    is_minimal,
-    is_t_fold_blocking,
     is_two_valued,
     spectrum,
     spectrum_to_json,
@@ -27,7 +25,6 @@ from .extremal import (
     classify_prime_power,
     equality_candidates,
     max_size_bound,
-    prime_powers_up_to,
 )
 from .families import (
     FamilyLabel,
@@ -89,16 +86,13 @@ __all__ = [
     "equality_candidates",
     "exhaustive_extremal_search",
     "hermitian_unital",
-    "is_minimal",
     "is_prime",
-    "is_t_fold_blocking",
     "is_two_valued",
     "load_plane",
     "load_point_set",
     "make_field",
     "max_size_bound",
     "plane_minus_point",
-    "prime_powers_up_to",
     "save_plane",
     "save_point_set",
     "spectrum",

@@ -2,8 +2,8 @@
 
 ``verify`` is the one verifier: it counts the set's points on each line of
 its own plane once, by mask intersection, and decides everything from those
-exact counts, so results are independent of evaluation order.  The
-predicates are built on it; each takes the set alone, which brings its plane.
+exact counts, so results are independent of evaluation order.  Each call
+takes the set alone, which brings its plane.
 """
 
 from __future__ import annotations
@@ -77,24 +77,6 @@ def verify(point_set: "PointSet", t: int) -> Verdict:
         if not minimal:
             failure = "a set point lies on no line meeting the set in exactly t points"
     return Verdict(t, point_set.size, minimal is not None, minimal, spec, failure)
-
-
-def is_t_fold_blocking(point_set: "PointSet", t: int) -> bool:
-    """True iff every line meets the set in >= t points and some line in exactly t."""
-    return verify(point_set, t).blocking
-
-
-def is_minimal(point_set: "PointSet", t: int) -> bool:
-    """True iff every point of the set lies on a line met in exactly t points.
-
-    Requires the set to be a t-fold blocking set; minimality is undefined
-    otherwise and a ValueError is raised rather than conflating "not
-    blocking" with "not minimal".
-    """
-    verdict = verify(point_set, t)
-    if not verdict.blocking:
-        raise ValueError(f"point set is not a {t}-fold blocking set")
-    return verdict.minimal
 
 
 def is_two_valued(spec: Spectrum, t: int, b: int) -> bool:

@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "family", choices=["unital", "baer", "baer-complement", "minus-point"]
     )
     p.add_argument("q", type=int, help="plane order (square prime power except for minus-point)")
-    p.add_argument("--point", type=int, default=0, help="point removed by minus-point")
+    p.add_argument("--point", type=int, help="point removed by minus-point (default 0)")
     p.add_argument("--output", help="point-set file to write (default: stdout)")
     p.add_argument("--plane-out", help="also write the plane file here")
 
@@ -179,6 +179,8 @@ def _cmd_candidates(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    if args.point is not None and args.family != "minus-point":
+        raise ValueError(f"--point applies to minus-point only, not {args.family}")
     check_plane_cap(args.q)
     pp = PrimePower.from_order(args.q)
     if args.family != "minus-point" and pp.k % 2:
@@ -197,7 +199,7 @@ def _cmd_construct(args) -> int:
     elif args.family == "baer-complement":
         ps = baer_complement(plane)
     else:
-        ps = plane_minus_point(plane, args.point)
+        ps = plane_minus_point(plane, args.point or 0)
     if args.plane_out:
         save_plane(plane, args.plane_out)
     if args.output:

@@ -221,14 +221,3 @@ def case_trace(q: int | PrimePower, t: int, b: int) -> CaseTrace:
         family=_CASE_FAMILY[case],
         consistent=consistent,
     )
-
-
-def prime_powers_up_to(limit: int) -> list[PrimePower]:
-    """All prime powers q with 2 <= q <= limit, in increasing order."""
-    out = []
-    for q in range(2, limit + 1):
-        try:
-            out.append(PrimePower.from_order(q))
-        except ValueError:
-            continue
-    return out

@@ -39,14 +39,6 @@ class PointSet:
             mask |= 1 << i
         return cls(plane, mask)
 
-    @classmethod
-    def empty(cls, plane: IncidencePlane) -> "PointSet":
-        return cls(plane, 0)
-
-    @classmethod
-    def full(cls, plane: IncidencePlane) -> "PointSet":
-        return cls(plane, (1 << plane.num_points) - 1)
-
     def indices(self) -> tuple[int, ...]:
         mask = self.mask
         return tuple(i for i in range(self.plane.num_points) if mask >> i & 1)
@@ -76,7 +68,7 @@ class PointSet:
 
 def _coordinate_field(plane: IncidencePlane):
     """The plane's field; its norm and subfield test reject an odd degree."""
-    if plane.field is None or plane.point_coords is None:
+    if plane.field is None:
         raise ValueError("plane has no coordinate map")
     return plane.field
 

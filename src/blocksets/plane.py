@@ -10,6 +10,7 @@ assumes coordinates exist.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import getitem
@@ -17,6 +18,8 @@ from operator import getitem
 from .gf import FieldElement, FieldSpec
 
 MAX_PLANE_FIELD_ORDER = 128
+_UNDECODED_BYTE = re.compile("[\udc80-\udcff]")
+_REFUSED_OUTSIDE_COMMENTS = re.compile("[+_]|[^\x00-\x7f]")
 
 ProjPoint = tuple[FieldElement, FieldElement, FieldElement]
 
@@ -49,13 +52,7 @@ class IncidencePlane:
     so a plane that is only built to construct a family never pays for them.
     """
 
-    def __init__(
-        self,
-        order: int,
-        lines,
-        fieldspec: FieldSpec | None = None,
-        point_coords: list[ProjPoint] | None = None,
-    ):
+    def __init__(self, order: int, lines):
         if order < 2:
             raise ValueError("plane order must be at least 2")
         num_points = order * order + order + 1
@@ -68,7 +65,7 @@ class IncidencePlane:
             if len(set(pts)) != len(pts):
                 raise ValueError(f"line {j} repeats a point")
             checked.append(pts)
-        self._fill(order, tuple(checked), fieldspec, point_coords)
+        self._fill(order, tuple(checked), None, None)
 
     @classmethod
     def _unchecked(cls, order, lines, fieldspec=None, point_coords=None) -> IncidencePlane:
@@ -130,21 +127,6 @@ class IncidencePlane:
     def __repr__(self):
         kind = "coordinatized" if self.point_coords else "abstract"
         return f"IncidencePlane(order={self.order}, {kind})"
-
-    def lines_through_point(self, point: int) -> tuple[int, ...]:
-        if not 0 <= point < self.num_points:
-            raise ValueError(f"point index {point} out of range")
-        return self.point_lines[point]
-
-    def line_through(self, p1: int, p2: int) -> int:
-        """Index of the unique line containing both points."""
-        if p1 == p2:
-            raise ValueError("line_through requires two distinct points")
-        candidates = set(self.point_lines[p1])
-        for j in self.point_lines[p2]:
-            if j in candidates:
-                return j
-        raise ValueError(f"no common line through {p1} and {p2}")
 
 
 def check_plane_cap(q: int) -> None:
@@ -281,11 +263,21 @@ def save_plane(plane: IncidencePlane, path) -> None:
 
 def read_rows(path) -> list[tuple[int, str]]:
     """(file line number, stripped text) of every line that is neither blank
-    nor a ``#`` comment."""
+    nor a ``#`` comment.  Such a row may hold neither a non-ASCII character
+    nor '+' or '_', so ``int`` reads no '+2', '0_5' or non-ASCII digit; a
+    byte that is not UTF-8 (read as U+DC00 + byte) is refused on any line."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.strip()
+            if not raw.isascii() or "+" in text or "_" in text:
+                bad = _UNDECODED_BYTE.search(raw)
+                if bad:
+                    byte = ord(bad[0]) - 0xDC00
+                    raise PlaneFormatError(f"line {lineno}: non-UTF-8 byte 0x{byte:02x}")
+                bad = not text.startswith("#") and _REFUSED_OUTSIDE_COMMENTS.search(text)
+                if bad:
+                    raise PlaneFormatError(f"line {lineno}: unexpected character {bad[0]!r}")
             if text and not text.startswith("#"):
                 rows.append((lineno, text))
     return rows

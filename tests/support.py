@@ -8,10 +8,10 @@ Baer subplane are recomputed on coefficient tuples by plain enumeration; a
 plane also comes from an XOR construction; the incidence indices of a plane
 are rebuilt from its lines; plane axioms are checked by counting the lines
 through every pair of points; equality solutions are found by plain
-two-dimensional enumeration; and extremal sets are found by filtering every
-subset of the bound's size through the public verifiers, with no prune; the
-verifier itself is checked against line members counted from
-``plane.lines`` and a Python set.
+two-dimensional enumeration; prime powers are found by factoring; and
+extremal sets are found by filtering every subset of the bound's size
+through ``blocking.verify``, with no prune; the verifier itself is checked
+against line members counted from ``plane.lines`` and a Python set.
 """
 
 from __future__ import annotations
@@ -21,14 +21,13 @@ import itertools
 from blocksets import (
     FieldSpec,
     PointSet,
+    PrimePower,
     build_desarguesian_plane,
-    is_minimal,
-    is_t_fold_blocking,
     is_two_valued,
     make_field,
     max_size_bound,
-    spectrum,
 )
+from blocksets.blocking import verify
 
 _plane_cache: dict[int, object] = {}
 _field_cache: dict[tuple[int, int], FieldSpec] = {}
@@ -303,12 +302,8 @@ def extremal_sets_by_enumeration(plane, t):
         return []
     found = []
     for combo in itertools.combinations(range(plane.num_points), bv.bound):
-        ps = PointSet.from_indices(plane, combo)
-        if (
-            is_t_fold_blocking(ps, t)
-            and is_minimal(ps, t)
-            and is_two_valued(spectrum(ps), t, bv.b)
-        ):
+        verdict = verify(PointSet.from_indices(plane, combo), t)
+        if verdict.minimal and is_two_valued(verdict.spectrum, t, bv.b):
             found.append(combo)
     return found
 
@@ -343,3 +338,13 @@ def is_prime_power_by_factoring(q):
     if m > 1:
         factors.add(m)
     return len(factors) == 1
+
+
+def prime_powers_up_to(limit):
+    """Every prime power q with 2 <= q <= limit, found by factoring, as a
+    PrimePower in increasing order."""
+    return [
+        PrimePower.from_order(q)
+        for q in range(2, limit + 1)
+        if is_prime_power_by_factoring(q)
+    ]

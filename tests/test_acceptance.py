@@ -20,15 +20,13 @@ from blocksets import (
     equality_candidates,
     exhaustive_extremal_search,
     hermitian_unital,
-    is_minimal,
-    is_t_fold_blocking,
     is_two_valued,
     max_size_bound,
     plane_minus_point,
-    prime_powers_up_to,
     spectrum,
     verify_plane_axioms,
 )
+from blocksets.blocking import verify
 
 
 @contextmanager
@@ -44,12 +42,7 @@ def criterion(num: int, title: str):
 
 def test_criterion_1_classification_reproduction():
     with criterion(1, "classifier and brute-force oracle agree for all prime powers <= 1024"):
-        pps = prime_powers_up_to(1024)
-        # independent recount of the prime powers themselves
-        assert [pp.q for pp in pps] == [
-            q for q in range(2, 1025) if support.is_prime_power_by_factoring(q)
-        ]
-        for pp in pps:
+        for pp in support.prime_powers_up_to(1024):
             closed = [(e.t, e.b) for e in classify_prime_power(pp)]
             brute = [(e.t, e.b) for e in equality_candidates(pp.q)]
             assert closed == brute, f"q={pp.q}: {closed} != {brute}"
@@ -97,8 +90,7 @@ def test_criterion_4_construction_verification():
                 bv = max_size_bound(n, t)
                 assert bv.attainable
                 assert ps.size == bv.bound
-                assert is_t_fold_blocking(ps, t)
-                assert is_minimal(ps, t)
+                assert verify(ps, t).minimal is True
                 assert is_two_valued(spectrum(ps), t, bv.b)
 
 
@@ -137,7 +129,7 @@ def test_criterion_6_prune_safety():
 
 def test_criterion_7_field_and_plane_property_suites():
     with criterion(7, "field axioms to GF(64), plane axioms to order 9, subfield counts"):
-        for pp in prime_powers_up_to(64):
+        for pp in support.prime_powers_up_to(64):
             spec = support.field(pp.p, pp.k)
             support.check_field_axioms(spec)
             support.check_frobenius_automorphism(spec)

@@ -1,5 +1,7 @@
+import ast
 import inspect
 import json
+import pathlib
 import random
 
 import pytest
@@ -9,8 +11,6 @@ from blocksets import (
     PointSet,
     baer_complement,
     hermitian_unital,
-    is_minimal,
-    is_t_fold_blocking,
     is_two_valued,
     plane_minus_point,
     spectrum,
@@ -21,12 +21,12 @@ from blocksets.blocking import verify
 
 def test_spectrum_empty_set():
     fano = support.desarguesian(2, 1)
-    assert spectrum(PointSet.empty(fano)) == {0: 7}
+    assert spectrum(PointSet(fano, 0)) == {0: 7}
 
 
 def test_spectrum_full_plane():
     fano = support.desarguesian(2, 1)
-    assert spectrum(PointSet.full(fano)) == {3: 7}
+    assert spectrum(PointSet(fano, 0).complement()) == {3: 7}
 
 
 def test_spectrum_single_line():
@@ -56,24 +56,24 @@ def test_spectrum_json_serialization():
 def test_fano_minus_point_blocking():
     fano = support.desarguesian(2, 1)
     ps = plane_minus_point(fano, 0)
-    assert is_t_fold_blocking(ps, 2)
-    assert not is_t_fold_blocking(ps, 1)  # no line meets in exactly 1
+    assert verify(ps, 2).blocking
+    assert not verify(ps, 1).blocking  # no line meets in exactly 1
 
 
 def test_unital_is_one_fold_blocking():
     plane = support.desarguesian(2, 2)
-    assert is_t_fold_blocking(hermitian_unital(plane), 1)
+    assert verify(hermitian_unital(plane), 1).blocking
 
 
 def test_t_range_enforced():
     fano = support.desarguesian(2, 1)
-    ps = PointSet.full(fano)
+    ps = PointSet(fano, 0).complement()
     with pytest.raises(ValueError):
-        is_t_fold_blocking(ps, 0)
+        verify(ps, 0)
     with pytest.raises(ValueError):
-        is_t_fold_blocking(ps, 5)
+        verify(ps, 5)
     # t = n+1 is legal in the verifier: the full plane is (n+1)-fold blocked
-    assert is_t_fold_blocking(ps, 3)
+    assert verify(ps, 3).blocking
 
 
 def test_blocking_monotone_in_t():
@@ -83,25 +83,26 @@ def test_blocking_monotone_in_t():
     low = min(spec)
     for t in range(1, plane.order + 2):
         expected = min(spec) >= t and t in spec
-        assert is_t_fold_blocking(ps, t) == expected
+        assert verify(ps, t).blocking == expected
         if t > low:
-            assert not is_t_fold_blocking(ps, t)
+            assert not verify(ps, t).blocking
 
 
 def test_minimal_plane_minus_point():
     plane = support.desarguesian(3, 1)
-    assert is_minimal(plane_minus_point(plane, 0), 3)
+    assert verify(plane_minus_point(plane, 0), 3).minimal is True
 
 
 def test_minimal_baer_complement():
     plane = support.desarguesian(2, 2)
-    assert is_minimal(baer_complement(plane), 2)
+    assert verify(baer_complement(plane), 2).minimal is True
 
 
 def test_minimal_requires_blocking_set():
+    # minimality is undefined for a set that does not block: None, not False
     fano = support.desarguesian(2, 1)
-    with pytest.raises(ValueError):
-        is_minimal(PointSet.full(fano), 2)
+    verdict = verify(PointSet(fano, 0).complement(), 2)
+    assert (verdict.blocking, verdict.minimal) == (False, None)
 
 
 def test_not_minimal_example():
@@ -114,18 +115,18 @@ def test_not_minimal_example():
     line_pts = set(fano.lines[0])
     extra = next(i for i in range(7) if i not in line_pts)
     ps = PointSet.from_indices(fano, sorted(line_pts | {extra}))
-    assert is_t_fold_blocking(ps, 1)
-    spec = spectrum(ps)
+    verdict = verify(ps, 1)
+    assert verdict.blocking
     # each point of the base line lies on some tangent iff the hand count
     # says so; trust only the definition here
     expected = True
     for s in ps.indices():
         if not any(
             (ps.mask & fano.line_masks[j]).bit_count() == 1
-            for j in fano.lines_through_point(s)
+            for j in fano.point_lines[s]
         ):
             expected = False
-    assert is_minimal(ps, 1) == expected
+    assert verdict.minimal == expected
 
 
 def test_is_two_valued():
@@ -141,9 +142,9 @@ def test_is_two_valued():
 
 @pytest.mark.parametrize("p, k", [(3, 1), (2, 2)])
 def test_verify_and_predicates_match_point_count_oracle(p, k):
-    """verify, spectrum, is_t_fold_blocking and is_minimal against
-    support.verdict_by_points on 100 seeded random subsets, every t in 1..n+1;
-    a shortfall failure names the oracle's first short line."""
+    """verify and spectrum against support.verdict_by_points on 100 seeded
+    random subsets, every t in 1..n+1; a shortfall failure names the oracle's
+    first short line."""
     plane = support.desarguesian(p, k)
     rng = random.Random(7000 + plane.order)
     outcomes = set()
@@ -157,12 +158,6 @@ def test_verify_and_predicates_match_point_count_oracle(p, k):
             assert (verdict.t, verdict.size) == (t, len(indices))
             assert (verdict.spectrum, verdict.blocking, verdict.minimal) == (spec, blocked, minimal)
             assert spectrum(ps) == spec
-            assert is_t_fold_blocking(ps, t) == blocked
-            if blocked:
-                assert is_minimal(ps, t) == minimal
-            else:
-                with pytest.raises(ValueError):
-                    is_minimal(ps, t)
             if short is not None:
                 kind, expected = "short", "line {} meets the set in {} < t points".format(*short)
             elif not blocked:
@@ -190,3 +185,39 @@ def test_no_public_callable_takes_a_plane_beside_a_point_set():
         except (TypeError, ValueError):
             continue
         assert not ("plane" in params and params & {"point_set", "sets"}), name
+
+
+def _names_used(tree):
+    """Every name a module reads: a Name, an Attribute's attribute, or a name
+    inside a string annotation.  Definitions and imports are not uses."""
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for ann in annotations:
+        for sub in ast.walk(ann) if ann is not None else ():
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                used |= _names_used(ast.parse(sub.value, mode="eval"))
+    return used
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    """The public API is what the program calls: each name in __all__ is
+    used by some module of the package other than __init__."""
+    import blocksets
+
+    package = pathlib.Path(blocksets.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _names_used(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(set(blocksets.__all__) - used) == []

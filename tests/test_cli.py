@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -103,6 +104,19 @@ def test_construct_requires_square_for_unital(capsys):
 def test_construct_rejects_non_prime_power(capsys):
     code, _, err = run(capsys, "construct", "minus-point", "6")
     assert code == 2
+
+
+@pytest.mark.parametrize("family", ["unital", "baer", "baer-complement"])
+def test_construct_point_outside_minus_point_exits_2(tmp_path, capsys, family):
+    set_path, plane_path = tmp_path / "set.txt", tmp_path / "plane.txt"
+    code, out, err = run(
+        capsys, "construct", family, "4", "--point", "999",
+        "--output", str(set_path), "--plane-out", str(plane_path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --point applies to minus-point only, not {family}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -404,6 +418,17 @@ def test_reused_parser_keeps_no_state(plane_files, capsys, first, second):
     run(capsys, *first)
     assert run(capsys, *second) == made_first
     assert _build_parser.cache_info().misses == 1
+
+
+def test_verify_names_the_line_of_a_byte_that_is_not_utf8(plane_files, tmp_path, capsys):
+    plane_path = tmp_path / "plane.txt"
+    text = pathlib.Path(plane_files["pg24"]).read_bytes().splitlines(keepends=True)
+    text[5] = text[5].replace(b" ", b"\xff ", 1)
+    plane_path.write_bytes(b"".join(text))
+    code, out, err = run(
+        capsys, "verify", "--plane", str(plane_path), "--set", plane_files["unital"], "--t", "1"
+    )
+    assert (code, out, err) == (2, "", "error: line 6: non-UTF-8 byte 0xff\n")
 
 
 def test_verify_rejects_extra_point_set_row(plane_files, tmp_path, capsys):

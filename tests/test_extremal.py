@@ -6,13 +6,13 @@ import support
 from blocksets import (
     EqualityParams,
     FamilyLabel,
+    PrimePower,
     case_trace,
     check_dagger,
     check_star,
     classify_prime_power,
     equality_candidates,
     max_size_bound,
-    prime_powers_up_to,
 )
 
 
@@ -121,7 +121,7 @@ def test_classify_rejects_non_prime_powers():
 
 
 def test_classifier_matches_oracle_small():
-    for pp in prime_powers_up_to(128):
+    for pp in support.prime_powers_up_to(128):
         closed = [(e.t, e.b) for e in classify_prime_power(pp)]
         brute = [(e.t, e.b) for e in equality_candidates(pp.q)]
         assert closed == brute, f"q={pp.q}"
@@ -162,7 +162,7 @@ def test_case_trace_validates_input():
 
 
 def test_case_trace_over_all_candidates():
-    for pp in prime_powers_up_to(1024):
+    for pp in support.prime_powers_up_to(1024):
         for e in equality_candidates(pp.q):
             tr = case_trace(pp, e.t, e.b)
             assert tr.case != "I"
@@ -180,8 +180,13 @@ def test_specializations():
         assert max_size_bound(n, n).bound == n * n + n
 
 
-def test_prime_powers_up_to():
-    got = [pp.q for pp in prime_powers_up_to(32)]
+def test_from_order_accepts_exactly_the_prime_powers():
+    got = [pp.q for pp in support.prime_powers_up_to(32)]
     assert got == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
-    oracle = [q for q in range(2, 300) if support.is_prime_power_by_factoring(q)]
-    assert [pp.q for pp in prime_powers_up_to(299)] == oracle
+    for q in range(2, 1025):
+        if support.is_prime_power_by_factoring(q):
+            pp = PrimePower.from_order(q)
+            assert pp.p**pp.k == q
+        else:
+            with pytest.raises(ValueError):
+                PrimePower.from_order(q)

@@ -8,14 +8,13 @@ from blocksets import (
     baer_subplane,
     characterize,
     hermitian_unital,
-    is_minimal,
-    is_t_fold_blocking,
     load_point_set,
     max_size_bound,
     plane_minus_point,
     save_point_set,
     spectrum,
 )
+from blocksets.blocking import verify
 
 
 def test_unital_sizes():
@@ -82,7 +81,7 @@ def test_unique_secant_through_external_points(p):
             continue
         secants = sum(
             (sub.mask & plane.line_masks[j]).bit_count() == r + 1
-            for j in plane.lines_through_point(i)
+            for j in plane.point_lines[i]
         )
         assert secants == 1
 
@@ -141,8 +140,7 @@ def test_families_hit_bound_and_verify(p):
         bv = max_size_bound(n, t)
         assert bv.attainable
         assert ps.size == bv.bound
-        assert is_t_fold_blocking(ps, t)
-        assert is_minimal(ps, t)
+        assert verify(ps, t).minimal is True
         assert set(spectrum(ps)) == {t, bv.b + 1}
 
 
@@ -193,7 +191,7 @@ def test_point_set_round_trip(tmp_path):
 def test_empty_point_set_round_trip(tmp_path):
     fano = support.desarguesian(2, 1)
     path = tmp_path / "empty.txt"
-    save_point_set(PointSet.empty(fano), path)
+    save_point_set(PointSet(fano, 0), path)
     assert load_point_set(path, fano).size == 0
 
 
@@ -233,6 +231,13 @@ def test_point_set_load_size_mismatch(tmp_path):
         ("order 2\nsize 2\n1 0\n", "line 3: indices must be sorted"),
         ("order 2\nsize 1\n7\n", "line 3: point index 7 out of range"),
         ("# nothing\n\n", "empty point-set file"),
+        ("order +2\nsize 0\n", "line 1: unexpected character '\\+'"),
+        ("order 2\nsize 0_3\n0 1 2\n", "line 2: unexpected character '_'"),
+        ("order 2\nsize 3\n0 +1 2\n", "line 3: unexpected character '\\+'"),
+        ("order 2\nsize 3\n0 1 0_2\n", "line 3: unexpected character '_'"),
+        ("order 2\nsize 3\n0 1 ２\n", "line 3: unexpected character '２'"),
+        # written as the byte 0xff, which is not UTF-8
+        ("order 2\n# \udcff\nsize 0\n", "line 2: non-UTF-8 byte 0xff"),
     ],
 )
 def test_point_set_load_rejects_malformed_file(tmp_path, text, message):
@@ -240,7 +245,7 @@ def test_point_set_load_rejects_malformed_file(tmp_path, text, message):
 
     fano = support.desarguesian(2, 1)
     path = tmp_path / "set.txt"
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.raises(PlaneFormatError, match=message):
         load_point_set(path, fano)
 

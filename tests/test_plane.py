@@ -81,21 +81,18 @@ def test_field_too_large_rejected():
 def test_lines_through_point():
     fano = support.desarguesian(2, 1)
     for i in range(7):
-        assert len(fano.lines_through_point(i)) == 3
+        assert len(fano.point_lines[i]) == 3
     plane = support.desarguesian(2, 2)
     for i in range(21):
-        assert len(plane.lines_through_point(i)) == 5
+        assert len(plane.point_lines[i]) == 5
 
 
-def test_line_through():
+def test_two_points_share_one_line():
     fano = support.desarguesian(2, 1)
     for p1 in range(7):
         for p2 in range(p1 + 1, 7):
-            j = fano.line_through(p1, p2)
-            assert j == fano.line_through(p2, p1)
+            [j] = set(fano.point_lines[p1]) & set(fano.point_lines[p2])
             assert p1 in fano.lines[j] and p2 in fano.lines[j]
-    with pytest.raises(ValueError):
-        fano.line_through(3, 3)
 
 
 def test_axiom_checker_catches_broken_incidence():
@@ -206,6 +203,46 @@ def test_load_rejects_missing_header(tmp_path):
         fh.write("0 1 2\n")
     with pytest.raises(PlaneFormatError, match="order"):
         load_plane(path)
+
+
+def _fano_file_bytes() -> bytes:
+    rows = [" ".join(map(str, pts)) for pts in support.xor_fano_lines()]
+    return ("# the Fano plane\norder 2\n" + "\n".join(rows) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        pytest.param(b"order 2", b"order +2", "line 2: unexpected character '+'", id="order+"),
+        pytest.param(b"order 2", b"order 0_2", "line 2: unexpected character '_'", id="order_"),
+        pytest.param(
+            b"order 2", "order ２".encode(), "line 2: unexpected character '２'", id="order-wide"
+        ),
+        pytest.param(b"\n0 ", b"\n+0 ", "line 3: unexpected character '+'", id="row+"),
+        pytest.param(b"\n0 ", b"\n0_0 ", "line 3: unexpected character '_'", id="row_"),
+        pytest.param(
+            b"\n0 ", "\n０ ".encode(), "line 3: unexpected character '０'", id="row-wide"
+        ),
+        pytest.param(b"\n0 ", b"\n0\xff ", "line 3: non-UTF-8 byte 0xff", id="row-byte"),
+        pytest.param(b"Fano", b"Fano \xc3", "line 1: non-UTF-8 byte 0xc3", id="comment-byte"),
+    ],
+)
+def test_load_names_the_line_of_a_refused_character_or_byte(tmp_path, old, new, message):
+    """``int`` reads '+2', '0_5' and fullwidth digits; the loader refuses
+    them, and a byte that is not UTF-8, comments included, by line."""
+    text = _fano_file_bytes()
+    assert old in text
+    path = tmp_path / "plane.txt"
+    path.write_bytes(text.replace(old, new, 1))
+    with pytest.raises(PlaneFormatError) as info:
+        load_plane(path)
+    assert str(info.value) == message
+
+
+def test_load_accepts_utf8_plus_and_underscore_in_comments(tmp_path):
+    path = tmp_path / "plane.txt"
+    path.write_bytes(_fano_file_bytes().replace(b"Fano", "Fano é + x_y".encode()))
+    assert load_plane(path) == IncidencePlane(2, support.xor_fano_lines())
 
 
 def test_loaded_plane_has_no_coordinates(tmp_path):

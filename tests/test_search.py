@@ -11,13 +11,12 @@ from blocksets import (
     certify_no_other_t,
     characterize,
     exhaustive_extremal_search,
-    is_minimal,
-    is_t_fold_blocking,
     is_two_valued,
     max_size_bound,
     spectrum,
 )
 from blocksets import search
+from blocksets.blocking import verify
 from blocksets.extremal import ExtremalValue
 from blocksets.search import DEFAULT_NODE_BUDGET
 
@@ -44,8 +43,7 @@ def test_results_pass_independent_verifier():
     bv = max_size_bound(3, 3)
     for ps in result.sets:
         assert ps.size == bv.bound
-        assert is_t_fold_blocking(ps, 3)
-        assert is_minimal(ps, 3)
+        assert verify(ps, 3).minimal is True
         assert is_two_valued(spectrum(ps), 3, bv.b)
 
 
