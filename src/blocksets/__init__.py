@@ -39,7 +39,6 @@ from .families import (
 )
 from .gf import FieldElement, FieldSpec, PrimePower, is_prime, make_field
 from .plane import (
-    AxiomReport,
     IncidencePlane,
     PlaneFormatError,
     build_desarguesian_plane,
@@ -58,7 +57,6 @@ from .search import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxiomReport",
     "BoundValue",
     "CaseTrace",
     "CertifyReport",

@@ -66,22 +66,27 @@ class PointSet:
         return f"PointSet(order={self.plane.order}, size={self.size})"
 
 
-def _coordinate_field(plane: IncidencePlane):
-    """The plane's field; its norm and subfield test reject an odd degree."""
-    if plane.field is None:
+def _conjugates(plane: IncidencePlane) -> list[int]:
+    """The map a -> a^r on GF(r^2), the plane's field, as a list over the
+    element indices; it needs the plane's coordinates and an even degree."""
+    f = plane.field
+    if f is None:
         raise ValueError("plane has no coordinate map")
-    return plane.field
+    if f.k % 2:
+        raise ValueError("field degree must be even")
+    r = f.p ** (f.k // 2)
+    return [f.pow(a, r) for a in f.elements()]
 
 
 def hermitian_unital(plane: IncidencePlane) -> PointSet:
     """Points (x:y:z) of PG(2, q^2) with N(x) + N(y) + N(z) = 0.
 
-    N is the norm down to GF(q), so the set is the classical unital of
-    size q^3 + 1; every line meets it in 1 or q+1 points.
+    N(a) = a * a^q is the norm down to GF(q), so the set is the classical
+    unital of size q^3 + 1; every line meets it in 1 or q+1 points.
     """
-    f = _coordinate_field(plane)
-    norm = [f.relative_norm(a) for a in f.elements()]
-    add = f.int_tables().add
+    conj = _conjugates(plane)
+    add, _, mul, _ = plane.field.int_tables()
+    norm = [mul[a][c] for a, c in enumerate(conj)]
     mask = 0
     for idx, (x, y, z) in enumerate(plane.point_coords):
         if add[add[norm[x]][norm[y]]][norm[z]] == 0:
@@ -90,13 +95,13 @@ def hermitian_unital(plane: IncidencePlane) -> PointSet:
 
 
 def baer_subplane(plane: IncidencePlane) -> PointSet:
-    """The canonical subplane PG(2, q) inside PG(2, q^2).
+    """The canonical subplane PG(2, q) inside PG(2, q^2): the points whose
+    coordinates are all fixed by a -> a^q.
 
     Membership is tested on the normalized representative, coordinate by
     coordinate, so it does not depend on the choice of representative.
     """
-    f = _coordinate_field(plane)
-    sub = [f.in_base_subfield(a) for a in f.elements()]
+    sub = [c == a for a, c in enumerate(_conjugates(plane))]
     mask = 0
     for idx, (x, y, z) in enumerate(plane.point_coords):
         if sub[x] and sub[y] and sub[z]:

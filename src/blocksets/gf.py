@@ -2,11 +2,10 @@
 
 An element is an ``int``: the position of its coefficient vector over Z_p
 in the polynomial basis, vectors ordered lexicographically from the
-constant term, so 0 is zero and p^(k-1) is one.  ``FieldSpec.element`` and
-``FieldSpec.coeffs`` convert between the two.  Arithmetic is table lookup;
-on first use, addition is tabulated digit by digit and multiplication from
-exp/log tables of a generator, whose powers are the only other place
-polynomials are multiplied.  The reduction modulus is the lexicographically
+constant term, so 0 is zero and p^(k-1) is one.  Arithmetic is table
+lookup (``FieldSpec.int_tables``); on first use, addition is tabulated
+digit by digit and multiplication from exp/log tables of a generator, whose
+powers are the only other place polynomials are multiplied.  The reduction modulus is the lexicographically
 smallest monic irreducible polynomial of degree k (coefficients compared
 from the constant term upward), which ``FieldSpec`` finds itself with
 Ben-Or's irreducibility test: one canonical model of GF(p^k) per (p, k), so
@@ -16,7 +15,7 @@ every downstream construction is reproducible across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 FieldElement = int
 
@@ -174,7 +173,6 @@ class FieldSpec:
             mod for mod in ((*_decode_lex(m, p, k), 1) for m in range(first, p**k))
             if _is_irreducible(mod, p)
         )
-        self.zero: FieldElement = 0
         self.one: FieldElement = p ** (k - 1)
         self._tables: FieldTables | None = None
 
@@ -187,33 +185,14 @@ class FieldSpec:
     def __repr__(self):
         return f"FieldSpec(GF({self.order}), modulus={list(self.modulus)})"
 
-    # -- the bridge to coefficient vectors ------------------------------------
-
-    def element(self, coeffs: Iterable[int]) -> FieldElement:
-        """Index of an arbitrary coefficient vector (constant term first),
-        reduced modulo p and the modulus."""
-        c = [int(v) % self.p for v in coeffs]
-        if len(c) > self.k:
-            c = _poly_rem(c, self.modulus, self.p)
-        c.extend([0] * (self.k - len(c)))
-        return _encode_lex(c, self.p)
-
-    def coeffs(self, a: FieldElement) -> tuple[int, ...]:
-        """Coefficient vector of an element, constant term first."""
-        self._check(a)
-        return tuple(_decode_lex(a, self.p, self.k))
-
     def elements(self) -> range:
         return range(self.order)
 
-    def _check(self, *elems: FieldElement) -> None:
+    def _check(self, a: FieldElement) -> None:
         """Reject an index outside range(order), which list indexing would
         wrap (negative) or fail on with IndexError."""
-        for a in elems:
-            if not 0 <= a < self.order:
-                raise ValueError(f"element index {a} out of range")
-
-    # -- arithmetic -----------------------------------------------------------
+        if not 0 <= a < self.order:
+            raise ValueError(f"element index {a} out of range")
 
     def int_tables(self) -> FieldTables:
         """The lookup tables of the field, built on first use and cached:
@@ -222,7 +201,7 @@ class FieldSpec:
         group, so mul[a][b] = g^(log a + log b).
 
         Each table has order^2 entries, so a field whose order exceeds
-        MAX_TABLE_ORDER can be made and converted but has no arithmetic.
+        MAX_TABLE_ORDER can be made but has no arithmetic.
         """
         if self._tables is None:
             if self.order > MAX_TABLE_ORDER:
@@ -261,18 +240,6 @@ class FieldSpec:
             self._tables = FieldTables(add, [row.index(0) for row in add], mul, inv)
         return self._tables
 
-    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._check(a, b)
-        return self.int_tables().add[a][b]
-
-    def neg(self, a: FieldElement) -> FieldElement:
-        self._check(a)
-        return self.int_tables().neg[a]
-
-    def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._check(a, b)
-        return self.int_tables().mul[a][b]
-
     def pow(self, a: FieldElement, e: int) -> FieldElement:
         """a**e for e >= 0, with pow(a, 0) == 1 (also for a == 0)."""
         if e < 0:
@@ -286,36 +253,6 @@ class FieldSpec:
             a = mul[a][a]
             e >>= 1
         return result
-
-    def inv(self, a: FieldElement) -> FieldElement:
-        self._check(a)
-        inverse = self.int_tables().inv[a]
-        if inverse is None:
-            raise ZeroDivisionError("inversion of zero")
-        return inverse
-
-    def frobenius(self, a: FieldElement, m: int) -> FieldElement:
-        """The automorphism a -> a^(p^m)."""
-        if m < 0:
-            raise ValueError("Frobenius power must be non-negative")
-        return self.pow(a, self.p**m)
-
-    # -- quadratic-extension helpers ----------------------------------------
-
-    def base_subfield_order(self) -> int:
-        if self.k % 2:
-            raise ValueError("field degree must be even")
-        return self.p ** (self.k // 2)
-
-    def relative_norm(self, a: FieldElement) -> FieldElement:
-        """Norm a -> a^(q+1) down to GF(q), where this field is GF(q^2)."""
-        q = self.base_subfield_order()
-        return self.mul(a, self.pow(a, q))
-
-    def in_base_subfield(self, a: FieldElement) -> bool:
-        """True iff a^q == a, i.e. a lies in the index-2 subfield GF(q)."""
-        q = self.base_subfield_order()
-        return self.pow(a, q) == a
 
 
 def make_field(p: int, k: int) -> FieldSpec:

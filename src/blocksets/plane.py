@@ -11,7 +11,6 @@ assumes coordinates exist.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import getitem
 
@@ -19,24 +18,13 @@ from .gf import FieldElement, FieldSpec
 
 MAX_PLANE_FIELD_ORDER = 128
 _UNDECODED_BYTE = re.compile("[\udc80-\udcff]")
-_REFUSED_OUTSIDE_COMMENTS = re.compile("[+_]|[^\x00-\x7f]")
+_REFUSED_OUTSIDE_COMMENTS = re.compile("[+_]|[^\t\x20-\x7e]")
 
 ProjPoint = tuple[FieldElement, FieldElement, FieldElement]
 
 
 class PlaneFormatError(ValueError):
     """Raised when a plane or point-set file violates its format contract."""
-
-
-@dataclass
-class AxiomReport:
-    """Outcome of an exhaustive projective-plane axiom check."""
-
-    ok: bool
-    failures: list[str] = field(default_factory=list)
-
-    def first_failure(self) -> str | None:
-        return self.failures[0] if self.failures else None
 
 
 class IncidencePlane:
@@ -187,69 +175,48 @@ def _desarguesian_lines(
     return tuple(lines)
 
 
-_MAX_REPORTED_FAILURES = 25
+def verify_plane_axioms(plane: IncidencePlane) -> str | None:
+    """The first failure of the projective-plane axioms, or None.
 
-
-def verify_plane_axioms(plane: IncidencePlane) -> AxiomReport:
-    """Exhaustively check the projective-plane axioms in one pass.
-
-    The axioms are the global counts, per-line cardinality, per-point degree,
-    and that any two distinct points lie on exactly one common line.  The
-    count failures come first.  The pair axiom is then decided on the line
-    masks, point by point: when every line has n+1 distinct points and every
-    point lies on n+1 lines, the lines through a point p carry at most
-    (n+1) * n + 1 = n^2+n+1 points, so their masks cover the whole universe
-    exactly when every other point shares exactly one line with p.  Such a
-    point costs one OR per line.  Any other point p is worded from the same
-    masks, each bad pair from its smaller point: the first point x > p on
-    two of p's lines k < j gives ``points p and x lie on lines k and j``,
-    and the first point y > p on none of them gives ``points p and y lie on
-    no common line``.  The pass stops after _MAX_REPORTED_FAILURES messages.
+    The axioms are checked in this order: the line count, each line's
+    cardinality, each point's degree, and then that any two distinct points
+    lie on exactly one common line.  Once the counts hold, the lines through
+    a point p carry at most (n+1) * n + 1 = n^2+n+1 points, so their masks
+    cover the whole universe exactly when no other point shares two lines
+    with p; such a point costs one OR per line.  At the first point p that
+    fails, every such partner x is above p (a partner below would have
+    failed first), so the first of them names the bad pair from its smaller
+    point: ``points p and x lie on lines k and j`` with k < j.
 
     This is O(N * n) big-integer operations and keeps no per-pair state.
-    Failures are report entries, never exceptions.
     """
     n = plane.order
     expected = n * n + n + 1
-    failures = []
     if plane.num_lines != expected:
-        failures.append(f"line count {plane.num_lines} != n^2+n+1 = {expected}")
-    failures += [
-        f"line {j} cardinality {len(pts)} != n+1 = {n + 1}"
-        for j, pts in enumerate(plane.lines)
-        if len(pts) != n + 1
-    ]
-    failures += [
-        f"point {i} lies on {len(ls)} lines, expected n+1 = {n + 1}"
-        for i, ls in enumerate(plane.point_lines)
-        if len(ls) != n + 1
-    ]
-    counts_hold = not failures
+        return f"line count {plane.num_lines} != n^2+n+1 = {expected}"
+    for j, pts in enumerate(plane.lines):
+        if len(pts) != n + 1:
+            return f"line {j} cardinality {len(pts)} != n+1 = {n + 1}"
+    for i, ls in enumerate(plane.point_lines):
+        if len(ls) != n + 1:
+            return f"point {i} lies on {len(ls)} lines, expected n+1 = {n + 1}"
     masks = plane.line_masks
     universe = (1 << plane.num_points) - 1
     for p, ls in enumerate(plane.point_lines):
         cover = 0
         for j in ls:
             cover |= masks[j]
-        if cover == universe and counts_hold:
+        if cover == universe:
             continue
-        if len(failures) >= _MAX_REPORTED_FAILURES:
-            break
         shared = cover = 0
         for j in ls:
             shared |= cover & masks[j]
             cover |= masks[j]
         shared >>= p + 1
-        if shared:
-            x = p + (shared & -shared).bit_length()
-            k, j = [j for j in ls if masks[j] >> x & 1][:2]
-            failures.append(f"points {p} and {x} lie on lines {k} and {j}")
-        missing = (universe ^ cover) >> (p + 1)
-        if missing:
-            y = p + (missing & -missing).bit_length()
-            failures.append(f"points {p} and {y} lie on no common line")
-    failures = failures[:_MAX_REPORTED_FAILURES]
-    return AxiomReport(ok=not failures, failures=failures)
+        x = p + (shared & -shared).bit_length()
+        k, j = [j for j in ls if masks[j] >> x & 1][:2]
+        return f"points {p} and {x} lie on lines {k} and {j}"
+    return None
 
 
 def save_plane(plane: IncidencePlane, path) -> None:
@@ -263,14 +230,15 @@ def save_plane(plane: IncidencePlane, path) -> None:
 
 def read_rows(path) -> list[tuple[int, str]]:
     """(file line number, stripped text) of every line that is neither blank
-    nor a ``#`` comment.  Such a row may hold neither a non-ASCII character
-    nor '+' or '_', so ``int`` reads no '+2', '0_5' or non-ASCII digit; a
-    byte that is not UTF-8 (read as U+DC00 + byte) is refused on any line."""
+    nor a ``#`` comment.  Such a row holds printable ASCII and tabs only, and
+    neither '+' nor '_': ``int`` reads no '+2', '0_5' or non-ASCII digit, and
+    ``str.split`` splits on no control character (form feed, U+001C ...).
+    A byte that is not UTF-8 (read as U+DC00 + byte) is refused on any line."""
     rows = []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.strip()
-            if not raw.isascii() or "+" in text or "_" in text:
+            if not (raw.isascii() and text.isprintable()) or "+" in text or "_" in text:
                 bad = _UNDECODED_BYTE.search(raw)
                 if bad:
                     byte = ord(bad[0]) - 0xDC00
@@ -299,8 +267,8 @@ def load_plane(path) -> IncidencePlane:
     """Read a plane file and validate it, including the plane axioms.
 
     Format: line 1 is ``order <n>``; then exactly n^2+n+1 non-empty lines,
-    each with n+1 distinct zero-based point indices separated by single
-    spaces.  Lines starting with ``#`` are comments.  Structural problems
+    each with n+1 distinct zero-based point indices separated by spaces
+    or tabs.  Lines starting with ``#`` are comments.  Structural problems
     are reported with their file line number.
     """
     rows = read_rows(path)
@@ -337,7 +305,7 @@ def load_plane(path) -> IncidencePlane:
         lines.append(tuple(pts))
 
     plane = IncidencePlane._unchecked(n, tuple(lines))
-    report = verify_plane_axioms(plane)
-    if not report.ok:
-        raise PlaneFormatError(f"plane axioms violated: {report.first_failure()}")
+    failure = verify_plane_axioms(plane)
+    if failure is not None:
+        raise PlaneFormatError(f"plane axioms violated: {failure}")
     return plane

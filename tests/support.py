@@ -11,7 +11,8 @@ through every pair of points; equality solutions are found by plain
 two-dimensional enumeration; prime powers are found by factoring; and
 extremal sets are found by filtering every subset of the bound's size
 through ``blocking.verify``, with no prune; the verifier itself is checked
-against line members counted from ``plane.lines`` and a Python set.
+against line members counted from ``plane.lines`` and a Python set, which
+also finds the largest minimal sets by enumerating every subset.
 """
 
 from __future__ import annotations
@@ -191,8 +192,7 @@ def check_field_axioms(spec: FieldSpec):
     """Exhaustive triple enumeration of the field axioms via index tables."""
     add_t, neg_t, mul_t, inv_t = spec.int_tables()
     q = spec.order
-    zero, one = spec.zero, spec.one
-    assert zero == 0
+    zero, one = 0, spec.one
     elems = range(q)
 
     for a in elems:
@@ -224,7 +224,7 @@ def check_frobenius_automorphism(spec: FieldSpec):
     """a -> a^p preserves both operations, exhaustively over the field."""
     add_t, _, mul_t, _ = spec.int_tables()
     q = spec.order
-    frob = [spec.frobenius(a, 1) for a in range(q)]
+    frob = [spec.pow(a, spec.p) for a in range(q)]
     for a in range(q):
         for b in range(q):
             assert frob[add_t[a][b]] == add_t[frob[a]][frob[b]]
@@ -306,6 +306,20 @@ def extremal_sets_by_enumeration(plane, t):
         if verdict.minimal and is_two_valued(verdict.spectrum, t, bv.b):
             found.append(combo)
     return found
+
+
+def largest_minimal_sets_by_enumeration(plane, t):
+    """(size, number) of the largest minimal t-fold blocking sets: every
+    subset, from the largest size down, through ``verdict_by_points``."""
+    for size in range(plane.num_points, 0, -1):
+        found = sum(
+            1
+            for combo in itertools.combinations(range(plane.num_points), size)
+            if verdict_by_points(plane, combo, t)[2]
+        )
+        if found:
+            return size, found
+    return 0, 0
 
 
 # -- equality-condition oracle -------------------------------------------------

@@ -134,8 +134,7 @@ def test_criterion_7_field_and_plane_property_suites():
             support.check_field_axioms(spec)
             support.check_frobenius_automorphism(spec)
         for p, k in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]:
-            report = verify_plane_axioms(support.desarguesian(p, k))
-            assert report.ok, report.failures
+            assert verify_plane_axioms(support.desarguesian(p, k)) is None
         for p, k, q in [(2, 2, 2), (3, 2, 3), (2, 4, 4), (5, 2, 5)]:
             f = support.field(p, k)
-            assert sum(f.in_base_subfield(a) for a in f.elements()) == q
+            assert sum(f.pow(a, q) == a for a in f.elements()) == q

@@ -1,4 +1,5 @@
 import ast
+import functools
 import inspect
 import json
 import pathlib
@@ -210,14 +211,34 @@ def _names_used(tree):
     return used
 
 
+def _public_members(cls):
+    """The public non-dunder methods and properties a class defines."""
+    kinds = (property, functools.cached_property, classmethod, staticmethod)
+    return {
+        name
+        for name, value in vars(cls).items()
+        if not name.startswith("_") and (inspect.isfunction(value) or isinstance(value, kinds))
+    }
+
+
 def test_every_public_name_has_a_caller_in_the_package():
     """The public API is what the program calls: each name in __all__ is
-    used by some module of the package other than __init__."""
+    used by some module of the package other than __init__, and so is each
+    public method and property of a public class, read as an attribute."""
     import blocksets
 
     package = pathlib.Path(blocksets.__file__).parent
-    used = set()
+    used, attributes = set(), set()
     for path in package.glob("*.py"):
         if path.name != "__init__.py":
-            used |= _names_used(ast.parse(path.read_text(encoding="utf-8")))
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used |= _names_used(tree)
+            attributes |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert sorted(set(blocksets.__all__) - used) == []
+    members = {
+        f"{name}.{member}"
+        for name in blocksets.__all__
+        if inspect.isclass(cls := getattr(blocksets, name))
+        for member in _public_members(cls)
+    }
+    assert sorted(m for m in members if m.split(".")[1] not in attributes) == []

@@ -56,6 +56,20 @@ def test_bound_value_identity():
                 assert bv.size_floor == bv.bound
 
 
+@pytest.mark.parametrize(
+    "p,largest",
+    [(2, [(3, 7), (6, 7)]), (3, [(6, 234), (9, 234), (12, 13)])],
+)
+def test_largest_minimal_set_is_the_size_floor(p, largest):
+    """The bound holds with equality of its floor at every t for q = 2, 3,
+    also where it is not an integer: (size, number of sets) for t = 1..q."""
+    plane = support.desarguesian(p, 1)
+    ts = range(1, p + 1)
+    found = [support.largest_minimal_sets_by_enumeration(plane, t) for t in ts]
+    assert found == largest
+    assert [size for size, _ in found] == [max_size_bound(p, t).size_floor for t in ts]
+
+
 def test_attainable_bound_satisfies_dagger():
     for n in range(2, 200):
         for t in range(1, n + 1):

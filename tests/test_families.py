@@ -236,6 +236,11 @@ def test_point_set_load_size_mismatch(tmp_path):
         ("order 2\nsize 3\n0 +1 2\n", "line 3: unexpected character '\\+'"),
         ("order 2\nsize 3\n0 1 0_2\n", "line 3: unexpected character '_'"),
         ("order 2\nsize 3\n0 1 ２\n", "line 3: unexpected character '２'"),
+        # str.split() would read these as separators, so '0\x1c1 2' as 0 1 2
+        ("order 2\nsize 3\n0\x1c1 2\n", r"line 3: unexpected character '\\x1c'"),
+        ("order 2\nsize 3\n0 1\x0b2\n", r"line 3: unexpected character '\\x0b'"),
+        ("order 2\nsize\x0c3\n0 1 2\n", r"line 2: unexpected character '\\x0c'"),
+        ("order\x1f2\nsize 0\n", r"line 1: unexpected character '\\x1f'"),
         # written as the byte 0xff, which is not UTF-8
         ("order 2\n# \udcff\nsize 0\n", "line 2: non-UTF-8 byte 0xff"),
     ],
@@ -248,6 +253,13 @@ def test_point_set_load_rejects_malformed_file(tmp_path, text, message):
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.raises(PlaneFormatError, match=message):
         load_point_set(path, fano)
+
+
+def test_point_set_load_accepts_tabs_and_runs_of_spaces(tmp_path):
+    fano = support.desarguesian(2, 1)
+    path = tmp_path / "set.txt"
+    path.write_text("order\t2\nsize  3\n0\t1 \t 2\n")
+    assert load_point_set(path, fano).indices() == (0, 1, 2)
 
 
 def test_point_set_load_skips_comments(tmp_path):

@@ -3,7 +3,14 @@ import time
 import pytest
 
 import support
-from blocksets import FieldSpec, PrimePower, is_prime, make_field
+from blocksets import (
+    FieldSpec,
+    PrimePower,
+    baer_subplane,
+    hermitian_unital,
+    is_prime,
+    make_field,
+)
 
 
 def test_prime_power_factoring():
@@ -121,23 +128,26 @@ def test_make_field_checks_caps_before_primality(monkeypatch):
 
 def test_gf4_multiplication():
     f = support.field(2, 2)
-    x = f.element([0, 1])
-    assert f.mul(x, x) == f.element([1, 1])  # x^2 reduces to x + 1
+    elems = support.TupleField(f).elements
+    x = elems.index((0, 1))
+    assert f.int_tables().mul[x][x] == elems.index((1, 1))  # x^2 reduces to x + 1
 
 
 def test_inverse_axiom_exhaustive():
     for p, k in [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]:
         f = support.field(p, k)
+        _, _, mul, inv = f.int_tables()
         for a in f.elements():
-            if a == f.zero:
+            if a == 0:
                 continue
-            assert f.mul(a, f.inv(a)) == f.one
+            assert mul[a][inv[a]] == f.one
 
 
-def test_inversion_of_zero_raises():
+def test_zero_has_no_inverse():
     f = support.field(3, 2)
-    with pytest.raises(ZeroDivisionError):
-        f.inv(f.zero)
+    _, _, mul, inv = f.int_tables()
+    assert inv[0] is None
+    assert f.one not in mul[0]
 
 
 def test_pow_identities():
@@ -150,11 +160,12 @@ def test_pow_identities():
 
 def test_frobenius_examples():
     f = support.field(2, 2)
-    x = f.element([0, 1])
-    assert f.frobenius(x, 0) == x
-    assert f.frobenius(x, 1) == f.element([1, 1])
+    elems = support.TupleField(f).elements
+    x = elems.index((0, 1))
+    assert f.pow(x, 1) == x
+    assert f.pow(x, 2) == elems.index((1, 1))
     for a in f.elements():
-        assert f.frobenius(f.frobenius(a, 1), 1) == a
+        assert f.pow(f.pow(a, 2), 2) == a
 
 
 def test_frobenius_is_automorphism():
@@ -162,48 +173,55 @@ def test_frobenius_is_automorphism():
         support.check_frobenius_automorphism(support.field(p, k))
 
 
+def _norm_and_subfield(f):
+    """N(a) = a * a^r over GF(r^2) from the tables, and the r elements
+    fixed by a -> a^r."""
+    r = f.p ** (f.k // 2)
+    mul = f.int_tables().mul
+    norm = [mul[a][f.pow(a, r)] for a in f.elements()]
+    return norm, {a for a in f.elements() if f.pow(a, r) == a}
+
+
 def test_relative_norm_values():
     f = support.field(2, 2)
-    x = f.element([0, 1])
-    assert f.relative_norm(f.zero) == f.zero
-    assert f.relative_norm(f.one) == f.one
-    assert f.relative_norm(x) == f.one  # x generates the order-3 group
+    elems = support.TupleField(f).elements
+    norm, _ = _norm_and_subfield(f)
+    assert norm[0] == 0
+    assert norm[f.one] == f.one
+    assert norm[elems.index((0, 1))] == f.one  # x generates the order-3 group
 
 
 def test_relative_norm_requires_even_degree():
-    f = support.field(2, 3)
-    with pytest.raises(ValueError):
-        f.relative_norm(f.one)
-    with pytest.raises(ValueError):
-        f.in_base_subfield(f.one)
+    plane = support.desarguesian(2, 3)
+    for construct in (hermitian_unital, baer_subplane):
+        with pytest.raises(ValueError, match="field degree must be even"):
+            construct(plane)
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 4), (5, 2)])
 def test_relative_norm_multiplicative_and_surjective(p, k):
     f = support.field(p, k)
-    q = f.base_subfield_order()
+    mul = f.int_tables().mul
+    norm, subfield = _norm_and_subfield(f)
     for a in f.elements():
-        na = f.relative_norm(a)
-        assert f.in_base_subfield(na)
+        assert norm[a] in subfield
         for b in f.elements():
-            assert f.relative_norm(f.mul(a, b)) == f.mul(na, f.relative_norm(b))
-    image = {f.relative_norm(a) for a in f.elements()}
-    subfield = {a for a in f.elements() if f.in_base_subfield(a)}
-    assert len(subfield) == q
-    assert image == subfield
+            assert norm[mul[a][b]] == mul[norm[a]][norm[b]]
+    assert len(subfield) == p ** (k // 2)
+    assert set(norm) == subfield
 
 
 def test_fixed_subfield_counts():
     for p, k, q in [(2, 2, 2), (3, 2, 3), (2, 4, 4), (5, 2, 5)]:
         f = support.field(p, k)
-        assert sum(f.in_base_subfield(a) for a in f.elements()) == q
+        assert sum(f.pow(a, q) == a for a in f.elements()) == q
 
 
 def test_in_base_subfield_example():
     f = support.field(2, 2)
-    assert f.in_base_subfield(f.zero)
-    assert f.in_base_subfield(f.one)
-    assert not f.in_base_subfield(f.element([0, 1]))
+    _, subfield = _norm_and_subfield(f)
+    assert subfield == {0, f.one}
+    assert support.TupleField(f).elements.index((0, 1)) not in subfield
 
 
 def test_field_axioms_small_fields():
@@ -211,28 +229,23 @@ def test_field_axioms_small_fields():
         support.check_field_axioms(support.field(p, k))
 
 
-def test_element_index_round_trip():
-    f = support.field(3, 2)
-    for i in range(f.order):
-        assert f.element(f.coeffs(i)) == i
-    # index order matches constant-term-first lex order on coefficients
-    vectors = [f.coeffs(i) for i in f.elements()]
-    assert vectors == sorted(vectors)
-    assert (f.zero, f.one) == (0, 3)
-    with pytest.raises(ValueError):
-        f.coeffs(f.order)
-
-
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 6)])
 def test_table_arithmetic_matches_tuple_oracle(p, k):
+    """Index i is the i-th coefficient vector in constant-term-first lex
+    order, and the tables add and multiply those vectors."""
     spec = support.field(p, k)
     oracle = support.TupleField(spec)
     elems = oracle.elements
-    assert [spec.coeffs(i) for i in spec.elements()] == elems
+    assert elems == sorted(elems) and len(elems) == spec.order
+    assert elems[0] == oracle.zero and elems[spec.one] == oracle.one
+    add, neg, mul, inv = spec.int_tables()
     for i, a in enumerate(elems):
+        assert oracle.add(a, elems[neg[i]]) == oracle.zero
+        if i:
+            assert oracle.mul(a, elems[inv[i]]) == oracle.one
         for j, b in enumerate(elems):
-            assert elems[spec.add(i, j)] == oracle.add(a, b)
-            assert elems[spec.mul(i, j)] == oracle.mul(a, b)
+            assert elems[add[i][j]] == oracle.add(a, b)
+            assert elems[mul[i][j]] == oracle.mul(a, b)
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128])
@@ -245,30 +258,14 @@ def test_int_tables_match_polynomial_oracle(q):
 def test_tables_are_built_on_first_use():
     f = make_field(1000003, 1)
     assert f._tables is None
-    assert f.element([5]) == 5 and f.coeffs(7) == (7,)
+    assert (f.elements(), f.one) == (range(1000003), 1)
     with pytest.raises(ValueError, match="table cap"):
-        f.add(1, 2)
+        f.pow(2, 3)
     assert f._tables is None
-
-
-def test_element_reduces_long_vectors():
-    f = support.field(2, 2)
-    # x^2 + x + 1 is the modulus, so x^2 == x + 1
-    assert f.element([0, 0, 1]) == f.element([1, 1])
 
 
 def test_arithmetic_rejects_out_of_range_operands():
     f = support.field(2, 2)
-    unary = [f.neg, f.inv, lambda a: f.pow(a, 2), lambda a: f.frobenius(a, 1),
-             f.relative_norm, f.in_base_subfield]
     for bad in (-1, -4, f.order, 99):
-        for op in (f.add, f.mul):
-            with pytest.raises(ValueError, match="out of range"):
-                op(bad, 0)
-            with pytest.raises(ValueError, match="out of range"):
-                op(2, bad)
-        for op in unary:
-            with pytest.raises(ValueError, match="out of range"):
-                op(bad)
         with pytest.raises(ValueError, match="out of range"):
-            f.coeffs(bad)
+            f.pow(bad, 2)

@@ -43,8 +43,7 @@ def test_pg24_counts():
 def test_desarguesian_planes_pass_axioms(p, k):
     plane = support.desarguesian(p, k)
     assert support.plane_axioms_hold_by_pair_sets(plane.order, plane.lines)
-    report = verify_plane_axioms(plane)
-    assert report.ok, report.failures
+    assert verify_plane_axioms(plane) is None
 
 
 def test_dual_counting():
@@ -98,22 +97,23 @@ def test_two_points_share_one_line():
 def test_axiom_checker_catches_broken_incidence():
     fano = support.desarguesian(2, 1)
     lines = [list(l) for l in fano.lines]
-    removed = lines[0].pop()
-    broken = IncidencePlane(2, lines)
-    report = verify_plane_axioms(broken)
-    assert not report.ok
-    assert any("cardinality" in f for f in report.failures)
-    assert any(str(removed) in f for f in report.failures)
+    lines[3].pop()
+    assert verify_plane_axioms(IncidencePlane(2, lines)) == "line 3 cardinality 2 != n+1 = 3"
+    del lines[3]
+    assert verify_plane_axioms(IncidencePlane(2, lines)) == "line count 6 != n^2+n+1 = 7"
 
 
 def test_axiom_checker_catches_doubled_pair():
-    fano = support.desarguesian(2, 1)
-    lines = [list(l) for l in fano.lines]
-    lines[1] = list(lines[0])  # duplicate line: every pair on it covered twice
-    report = verify_plane_axioms(IncidencePlane(2, lines))
-    assert not report.ok
-    assert any("lie on lines" in f for f in report.failures)
-    assert any("no common line" in f for f in report.failures)
+    lines = [list(l) for l in support.desarguesian(2, 1).lines]
+    lines[1] = list(lines[0])  # duplicate line: its points lie on 2 lines each
+    assert verify_plane_axioms(IncidencePlane(2, lines)) == (
+        "point 0 lies on 2 lines, expected n+1 = 3"
+    )
+    lines = [list(l) for l in support.desarguesian(3, 1).lines]
+    _swap_points_between_lines(lines)  # the counts hold, two pairs are doubled
+    m = _LIE_ON_LINES.fullmatch(verify_plane_axioms(IncidencePlane(3, lines)))
+    p, x, k, j = map(int, m.groups())
+    assert {p, x} <= set(lines[k]) & set(lines[j])
 
 
 def test_xor_fano_loads(tmp_path):
@@ -126,7 +126,7 @@ def test_xor_fano_loads(tmp_path):
             fh.write(" ".join(str(i) for i in pts) + "\n")
     plane = load_plane(path)
     assert plane.order == 2
-    assert verify_plane_axioms(plane).ok
+    assert verify_plane_axioms(plane) is None
 
 
 def test_save_load_round_trip(tmp_path):
@@ -225,11 +225,20 @@ def _fano_file_bytes() -> bytes:
         ),
         pytest.param(b"\n0 ", b"\n0\xff ", "line 3: non-UTF-8 byte 0xff", id="row-byte"),
         pytest.param(b"Fano", b"Fano \xc3", "line 1: non-UTF-8 byte 0xc3", id="comment-byte"),
+        pytest.param(b"\n0 ", b"\n0\x1c", "line 3: unexpected character '\\x1c'", id="row-x1c"),
+        pytest.param(b"\n0 ", b"\n0\x1f", "line 3: unexpected character '\\x1f'", id="row-x1f"),
+        pytest.param(b"\n0 ", b"\n0\x0b", "line 3: unexpected character '\\x0b'", id="row-x0b"),
+        pytest.param(b"\n0 ", b"\n0 \x0c", "line 3: unexpected character '\\x0c'", id="row-x0c"),
+        pytest.param(b"\n0 ", b"\n0\x00 ", "line 3: unexpected character '\\x00'", id="row-nul"),
+        pytest.param(
+            b"order 2", b"order\x1d2", "line 2: unexpected character '\\x1d'", id="order-x1d"
+        ),
     ],
 )
 def test_load_names_the_line_of_a_refused_character_or_byte(tmp_path, old, new, message):
-    """``int`` reads '+2', '0_5' and fullwidth digits; the loader refuses
-    them, and a byte that is not UTF-8, comments included, by line."""
+    """``int`` reads '+2', '0_5' and fullwidth digits, and ``str.split``
+    splits on control characters; the loader refuses them, and a byte that
+    is not UTF-8, comments included, by line."""
     text = _fano_file_bytes()
     assert old in text
     path = tmp_path / "plane.txt"
@@ -237,6 +246,14 @@ def test_load_names_the_line_of_a_refused_character_or_byte(tmp_path, old, new, 
     with pytest.raises(PlaneFormatError) as info:
         load_plane(path)
     assert str(info.value) == message
+
+
+def test_load_accepts_tabs_runs_of_spaces_and_control_characters_in_comments(tmp_path):
+    rows = ["\t".join(map(str, pts)) + " \t " for pts in support.xor_fano_lines()]
+    rows[0] = rows[0].replace("\t", "   ")
+    path = tmp_path / "plane.txt"
+    path.write_text("# \x0c\x1c\norder\t 2\n" + "\n".join(rows) + "\n")
+    assert load_plane(path) == IncidencePlane(2, support.xor_fano_lines())
 
 
 def test_load_accepts_utf8_plus_and_underscore_in_comments(tmp_path):
@@ -257,23 +274,19 @@ def test_loaded_plane_has_no_coordinates(tmp_path):
 # -- the axiom check against the pair-set oracle ------------------------------
 
 _LIE_ON_LINES = re.compile(r"points (\d+) and (\d+) lie on lines (\d+) and (\d+)")
-_NO_COMMON_LINE = re.compile(r"points (\d+) and (\d+) lie on no common line")
 
 
-def _check_report_against_oracle(order, lines):
+def _check_failure_against_oracle(order, lines):
     """Check verify_plane_axioms on these lines against the pair-set oracle.
 
-    The count messages must be exactly the expected ones, first and in
-    order; every pair message must name a pair that is really repeated or
-    missing, from its smaller point; and the smallest point that is the
-    smaller end of a bad pair must be named first, unless count failures
-    have filled the report.  Returns the report.
+    It returns None exactly when the oracle finds a plane.  Otherwise a
+    count failure, if any, must be the first expected count message;
+    failing that it must name the first bad pair: the smallest point p that
+    is the smaller end of a bad pair, the smallest x > p on two lines with
+    p, and the first two such lines.  Returns the failure.
     """
-    report = verify_plane_axioms(IncidencePlane(order, lines))
-    assert report.ok == support.plane_axioms_hold_by_pair_sets(order, lines)
-    assert report.ok == (not report.failures)
-    cap = 25
-    assert len(report.failures) <= cap
+    failure = verify_plane_axioms(IncidencePlane(order, lines))
+    assert (failure is None) == support.plane_axioms_hold_by_pair_sets(order, lines)
     num_points = order * order + order + 1
     sets = [set(pts) for pts in lines]
     counts = []
@@ -288,32 +301,22 @@ def _check_report_against_oracle(order, lines):
         deg = sum(1 for s in sets if i in s)
         if deg != order + 1:
             counts.append(f"point {i} lies on {deg} lines, expected n+1 = {order + 1}")
-    assert report.failures[: len(counts)] == counts[:cap]
-    pair_messages = report.failures[len(counts) :]
-    named = []
-    for msg in pair_messages:
-        if m := _LIE_ON_LINES.fullmatch(msg):
-            p, x, k, j = map(int, m.groups())
-            assert p < x and k < j
-            assert {p, x} <= sets[k] and {p, x} <= sets[j]
-        else:
-            m = _NO_COMMON_LINE.fullmatch(msg)
-            assert m, msg
-            p, x = map(int, m.groups())
-            assert p < x and not any(p in s and x in s for s in sets)
-        named.append(p)
-    assert named == sorted(named)
-    smallest_bad = next(
-        (
-            p
-            for p, x in itertools.combinations(range(num_points), 2)
-            if sum(1 for s in sets if p in s and x in s) != 1
-        ),
-        None,
-    )
-    if len(counts) < cap and smallest_bad is not None:
-        assert named[0] == smallest_bad
-    return report
+    if counts:
+        assert failure == counts[0]
+    elif failure is not None:
+        m = _LIE_ON_LINES.fullmatch(failure)
+        assert m, failure
+        p, x, k, j = map(int, m.groups())
+        smallest_bad = next(
+            a
+            for a, b in itertools.combinations(range(num_points), 2)
+            if sum(1 for s in sets if a in s and b in s) != 1
+        )
+        doubled = [b for b in range(p + 1, num_points)
+                   if sum(1 for s in sets if p in s and b in s) > 1]
+        assert (p, x) == (smallest_bad, doubled[0])
+        assert [k, j] == [i for i, s in enumerate(sets) if {p, x} <= s][:2]
+    return failure
 
 
 def _swap_points_between_lines(lines):
@@ -361,10 +364,10 @@ def test_corrupted_plane_reports_pair_walk_failures(p, k, corrupt):
         with pytest.raises(ValueError, match="line 0 repeats a point"):
             IncidencePlane(order, lines)
         return
-    report = _check_report_against_oracle(order, lines)
-    assert not report.ok
+    failure = _check_failure_against_oracle(order, lines)
+    assert failure is not None
     if corrupt is _swap_points_between_lines:
-        assert all("lie on" in f for f in report.failures)
+        assert "lie on lines" in failure
 
 
 @pytest.mark.parametrize(
@@ -379,7 +382,7 @@ def test_corrupted_plane_reports_pair_walk_failures(p, k, corrupt):
 def test_fano_first_failure_of_each_corruption(corrupt, first):
     lines = [list(l) for l in support.desarguesian(2, 1).lines]
     corrupt(lines)
-    assert verify_plane_axioms(IncidencePlane(2, lines)).first_failure() == first
+    assert verify_plane_axioms(IncidencePlane(2, lines)) == first
 
 
 def test_random_corruptions_agree_with_oracle():
@@ -409,7 +412,7 @@ def test_random_corruptions_agree_with_oracle():
                 with pytest.raises(ValueError, match=f"line {repeated[0]} repeats a point"):
                     IncidencePlane(base.order, lines)
                 continue
-            _check_report_against_oracle(base.order, lines)
+            _check_failure_against_oracle(base.order, lines)
     assert 0 < repeats < 300
 
 
@@ -419,12 +422,11 @@ def test_swapped_pg232_check_keeps_no_per_pair_state():
     plane = IncidencePlane(32, lines)
     tracemalloc.start()
     try:
-        report = verify_plane_axioms(plane)
+        failure = verify_plane_axioms(plane)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not report.ok
-    assert report.first_failure().startswith("points ")
+    assert failure.startswith("points ")
     assert peak < 1 << 20
 
 
@@ -468,7 +470,7 @@ def test_incidence_indices_of_xor_fano_and_unsorted_relabelled_lines():
     plane = IncidencePlane(3, lines)
     assert plane.lines == tuple(tuple(sorted(line)) for line in lines)
     assert (plane.line_masks, plane.point_lines) == support.incidence_by_lines(plane)
-    assert verify_plane_axioms(plane).ok
+    assert verify_plane_axioms(plane) is None
 
 
 def test_construct_minus_point_64_memory_peak(tmp_path):
