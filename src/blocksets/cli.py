@@ -241,6 +241,10 @@ def _cmd_search(args) -> int:
     if args.output and os.path.exists(args.output) and not os.path.isdir(args.output):
         print(f"error: {args.output} exists and is not a directory", file=sys.stderr)
         return EXIT_USAGE
+    # before the plane loads, which takes seconds at the order cap
+    if args.budget < 1:
+        print("error: node budget must be positive", file=sys.stderr)
+        return EXIT_USAGE
     plane = load_plane(args.plane)
     result = exhaustive_extremal_search(SearchTask(plane, args.t, node_budget=args.budget))
     if args.output:

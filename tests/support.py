@@ -12,7 +12,9 @@ two-dimensional enumeration; prime powers are found by factoring; and
 extremal sets are found by filtering every subset of the bound's size
 through ``blocking.verify``, with no prune; the verifier itself is checked
 against line members counted from ``plane.lines`` and a Python set, which
-also finds the largest minimal sets by enumerating every subset.
+also finds the largest minimal sets by enumerating every subset; and the
+search's node counts and budget stops are checked against its
+step-by-step form, which walks every forced tail one point at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from blocksets import (
     make_field,
     max_size_bound,
 )
+from blocksets import blocking
 from blocksets.blocking import verify
 
 _plane_cache: dict[int, object] = {}
@@ -320,6 +323,63 @@ def largest_minimal_sets_by_enumeration(plane, t):
         if found:
             return size, found
     return 0, 0
+
+
+# -- step-by-step search oracle ----------------------------------------------
+
+
+def pruned_search_by_steps(plane, t, m, b, budget):
+    """Depth-first include-then-exclude search on an explicit stack.
+
+    Returns (found sets, nodes visited, complete).  A fresh node is the entry
+    (point, size, mask, None); (point, size, mask, included) marks the return
+    from that node's include branch, where the include is undone (if it was
+    taken) and the exclude branch is tried.  The search stops before visiting
+    node budget + 1, and is complete exactly when the stack empties.
+    """
+    num_points = plane.num_points
+    pt_lines = plane.point_lines
+    # after[i][k]: points beyond i on line pt_lines[i][k] (lines are sorted),
+    # for the dead-line prune; both list the lines through i in index order
+    after = [[] for _ in range(num_points)]
+    for pts in plane.lines:
+        last = len(pts) - 1
+        for rank, i in enumerate(pts):
+            after[i].append(last - rank)
+    counts = [0] * plane.num_lines
+    found = []
+    nodes = 0
+    stack = [(0, 0, 0, None)]
+    while stack:
+        i, size, mask, included = stack.pop()
+        if included is not None:
+            lines = pt_lines[i]
+            if included:
+                for j in lines:
+                    counts[j] -= 1
+            if all(counts[j] + rest >= t for j, rest in zip(lines, after[i])):
+                stack.append((i + 1, size, mask, None))
+            continue
+        if nodes == budget:
+            return found, nodes, False
+        nodes += 1
+        if size == m:
+            if all(c >= t for c in counts):
+                ps = PointSet(plane, mask)
+                verdict = blocking.verify(ps, t)
+                if verdict.minimal and blocking.is_two_valued(verdict.spectrum, t, b):
+                    found.append(ps)
+            continue
+        if i == num_points or size + (num_points - i) < m:
+            continue
+        lines = pt_lines[i]
+        take = all(counts[j] <= b for j in lines)
+        stack.append((i, size, mask, take))
+        if take:
+            for j in lines:
+                counts[j] += 1
+            stack.append((i + 1, size + 1, mask | (1 << i), None))
+    return found, nodes, True
 
 
 # -- equality-condition oracle -------------------------------------------------

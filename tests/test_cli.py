@@ -341,6 +341,14 @@ def test_search_unattainable_summary(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_search_refuses_a_bad_budget_before_loading_the_plane(tmp_path, capsys, budget):
+    missing = tmp_path / "no_such_plane.txt"
+    code, out, err = run(capsys, "search", "--plane", str(missing), "--t", "2",
+                         "--budget", budget)
+    assert (code, out, err) == (2, "", "error: node budget must be positive\n")
+
+
 @pytest.mark.parametrize("option", [["--size", "5"], ["--no-prune"]])
 def test_search_rejects_removed_options(plane_files, capsys, option):
     code, out, err = run(capsys, "search", "--plane", plane_files["fano"], "--t", "2", *option)

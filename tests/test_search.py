@@ -78,11 +78,10 @@ def test_prune_safety_on_pg23():
     assert _indices(pruned) == support.extremal_sets_by_enumeration(plane, 3)
 
 
-@pytest.mark.parametrize("p, k, t", [(2, 1, 2), (3, 1, 3), (2, 2, 4)],
-                         ids=["pg22", "pg23", "pg24"])
-def test_search_does_not_depend_on_point_numbering(p, k, t):
-    plane = support.desarguesian(p, k)
-    rng = random.Random(p * 100 + k)
+def _relabelled(plane, seed):
+    """The plane with its points renumbered and each line's points listed in
+    an order drawn from the seed."""
+    rng = random.Random(seed)
     relabel = list(range(plane.num_points))
     rng.shuffle(relabel)
     lines = []
@@ -90,7 +89,13 @@ def test_search_does_not_depend_on_point_numbering(p, k, t):
         line = [relabel[i] for i in pts]
         rng.shuffle(line)
         lines.append(line)
-    relabelled = IncidencePlane(plane.order, lines)
+    return IncidencePlane(plane.order, lines)
+
+
+@pytest.mark.parametrize("p, k, t", [(2, 1, 2), (3, 1, 3), (2, 2, 4)],
+                         ids=["pg22", "pg23", "pg24"])
+def test_search_does_not_depend_on_point_numbering(p, k, t):
+    relabelled = _relabelled(support.desarguesian(p, k), p * 100 + k)
     result = exhaustive_extremal_search(SearchTask(relabelled, t))
     assert result.complete
     assert result.sets
@@ -98,22 +103,95 @@ def test_search_does_not_depend_on_point_numbering(p, k, t):
 
 
 @pytest.mark.parametrize(
-    "k, t, budget, nodes, found, complete",
+    "p, k, t, budget, nodes, found, complete",
     [
-        (2, 1, DEFAULT_NODE_BUDGET, 103056, 280, True),
-        (2, 2, DEFAULT_NODE_BUDGET, 90809, 360, True),
-        (4, 16, DEFAULT_NODE_BUDGET, 37673, 273, True),
-        (2, 1, 5000, 5000, 24, False),
+        (2, 2, 1, DEFAULT_NODE_BUDGET, 103056, 280, True),
+        (2, 2, 2, DEFAULT_NODE_BUDGET, 90809, 360, True),
+        (2, 4, 16, DEFAULT_NODE_BUDGET, 37673, 273, True),
+        (2, 2, 1, 5000, 5000, 24, False),
+        (19, 1, 19, DEFAULT_NODE_BUDGET, 73151, 381, True),
+        (2, 5, 32, DEFAULT_NODE_BUDGET, 560209, 1057, True),
+        (2, 4, 16, 20000, 20000, 198, False),
+        (2, 4, 16, 37672, 37672, 272, False),
+        (2, 2, 4, 100, 100, 12, False),
     ],
-    ids=["pg24_t1", "pg24_t2", "pg216_t16", "pg24_t1_budget"],
+    ids=["pg24_t1", "pg24_t2", "pg216_t16", "pg24_t1_budget", "pg219_t19", "pg232_t32",
+         "pg216_t16_budget", "pg216_t16_budget_last_tail", "pg24_t4_budget"],
 )
-def test_search_tree_is_pinned(k, t, budget, nodes, found, complete):
+def test_search_tree_is_pinned(p, k, t, budget, nodes, found, complete):
     """Searches too large for the enumeration oracle; the node count also
-    catches a weakened prune that still finds the same sets."""
+    catches a weakened prune that still finds the same sets.  The counts are
+    those of the step-by-step tree, which walks every forced tail."""
     result = exhaustive_extremal_search(
-        SearchTask(support.desarguesian(2, k), t, node_budget=budget)
+        SearchTask(support.desarguesian(p, k), t, node_budget=budget)
     )
     assert (result.nodes, len(result.sets), result.complete) == (nodes, found, complete)
+
+
+def _both_searches(plane, t, budget):
+    """(masks found, nodes, complete) of the search and of its step-by-step
+    oracle, at one budget."""
+    bv = max_size_bound(plane.order, t)
+    return [
+        ([ps.mask for ps in found], nodes, complete)
+        for found, nodes, complete in (
+            search._pruned_search(plane, t, bv.bound, bv.b, budget),
+            support.pruned_search_by_steps(plane, t, bv.bound, bv.b, budget),
+        )
+    ]
+
+
+# LONG_TAIL_LINES=0 settles every forced tail, however short, so that the
+# small planes exercise the settled path on every tail they have
+SETTLE = pytest.mark.parametrize("long_tail_lines", [search.LONG_TAIL_LINES, 0],
+                                 ids=["long_tails", "every_tail"])
+
+
+@SETTLE
+@pytest.mark.parametrize("seed", [None, 1, 2], ids=["canonical", "relabelled1", "relabelled2"])
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1)], ids=["pg22", "pg23"])
+def test_search_matches_step_by_step_on_every_budget(monkeypatch, p, k, seed, long_tail_lines):
+    monkeypatch.setattr(search, "LONG_TAIL_LINES", long_tail_lines)
+    plane = support.desarguesian(p, k)
+    if seed is not None:
+        plane = _relabelled(plane, seed)
+    ts = [t for t in range(1, plane.order + 1) if max_size_bound(plane.order, t).attainable]
+    assert ts
+    for t in ts:
+        new, old = _both_searches(plane, t, DEFAULT_NODE_BUDGET)
+        assert new == old and new[2]
+        for budget in range(1, new[1] + 2):
+            new, old = _both_searches(plane, t, budget)
+            assert new == old, (t, budget)
+
+
+@SETTLE
+@pytest.mark.parametrize(
+    "k, t, budgets",
+    [
+        # settling every tail, budget 214 stops before the one exclude node
+        # of a tail that stops short of the leaf; 103055 stops inside the
+        # last tail
+        (2, 1, [1, 2, 50, 108, 214, 215, 4999, 5000, 77777, 103050, 103055, 103056,
+                103057]),
+        # settling every tail, the first 300 nodes hold tails that stop
+        # short of the leaf, with and without exclude nodes; 28040 and 50130
+        # stop inside two of the 16 long tails
+        (2, 2, [*range(1, 301), 28040, 50130, 60000, 90808, 90809, 90810]),
+        (2, 4, [1, 21, 22, 100, 233, 250, 251, 252]),
+        # the last 238 forced tails of this tree, over 36000 nodes, are long;
+        # 1000 and 20000 stop inside one, and 37672 inside the very last
+        (4, 16, [273, 1000, 20000, 37400, 37672, 37673, 37674]),
+    ],
+    ids=["pg24_t1", "pg24_t2", "pg24_t4", "pg216_t16"],
+)
+def test_search_matches_step_by_step_on_sampled_budgets(monkeypatch, k, t, budgets,
+                                                        long_tail_lines):
+    monkeypatch.setattr(search, "LONG_TAIL_LINES", long_tail_lines)
+    plane = support.desarguesian(2, k)
+    for budget in budgets:
+        new, old = _both_searches(plane, t, budget)
+        assert new == old, budget
 
 
 def test_budget_truncation_reports_incomplete():
