@@ -37,7 +37,7 @@ from .families import (
     plane_minus_point,
     save_point_set,
 )
-from .gf import FieldElement, FieldSpec, PrimePower, is_prime, make_field
+from .gf import FieldElement, FieldSpec, PrimePower, is_prime
 from .plane import (
     IncidencePlane,
     PlaneFormatError,
@@ -88,7 +88,6 @@ __all__ = [
     "is_two_valued",
     "load_plane",
     "load_point_set",
-    "make_field",
     "max_size_bound",
     "plane_minus_point",
     "save_plane",

@@ -32,14 +32,8 @@ from .families import (
     plane_minus_point,
     save_point_set,
 )
-from .gf import make_field
-from .plane import (
-    PlaneFormatError,
-    build_desarguesian_plane,
-    check_plane_cap,
-    load_plane,
-    save_plane,
-)
+from .gf import FieldSpec
+from .plane import build_desarguesian_plane, check_plane_cap, load_plane, save_plane
 from .search import (
     DEFAULT_NODE_BUDGET,
     SearchTask,
@@ -157,12 +151,10 @@ def _cmd_classify(args) -> int:
     try:
         entries = classify_prime_power(args.q)
     except ValueError:
-        print(
-            f"error: {args.q} is not a prime power; use 'candidates {args.q}' "
-            "for necessary-condition solutions",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise ValueError(
+            f"{args.q} is not a prime power; use 'candidates {args.q}' "
+            "for necessary-condition solutions"
+        ) from None
     _print_rows(_case_rows(args.q, entries, True), args.json)
     return EXIT_OK
 
@@ -184,14 +176,11 @@ def _cmd_construct(args) -> int:
     check_plane_cap(args.q)
     pp = PrimePower.from_order(args.q)
     if args.family != "minus-point" and pp.k % 2:
-        print(
-            f"error: {args.q} is not a square; the {args.family} family "
-            "lives in planes of square order",
-            file=sys.stderr,
+        raise ValueError(
+            f"{args.q} is not a square; the {args.family} family "
+            "lives in planes of square order"
         )
-        return EXIT_USAGE
-    spec = make_field(pp.p, pp.k)
-    plane = build_desarguesian_plane(spec)
+    plane = build_desarguesian_plane(FieldSpec(pp.p, pp.k))
     if args.family == "unital":
         ps = hermitian_unital(plane)
     elif args.family == "baer":
@@ -210,6 +199,9 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # before the plane loads, which takes seconds at the order cap
+    if args.t < 1:
+        raise ValueError("t must be at least 1")
     plane = load_plane(args.plane)
     verdict = blocking.verify(load_point_set(args.set_path, plane), args.t)
     if args.json:
@@ -236,15 +228,14 @@ def _cmd_search(args) -> int:
     # set files left by an earlier search would read as found by this one;
     # a file at the path would fail os.makedirs, but only after the search
     if args.output and glob.glob(os.path.join(glob.escape(args.output), "set_*.txt")):
-        print(f"error: {args.output} already holds set_*.txt files", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"{args.output} already holds set_*.txt files")
     if args.output and os.path.exists(args.output) and not os.path.isdir(args.output):
-        print(f"error: {args.output} exists and is not a directory", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"{args.output} exists and is not a directory")
     # before the plane loads, which takes seconds at the order cap
     if args.budget < 1:
-        print("error: node budget must be positive", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("node budget must be positive")
+    if args.t < 1:
+        raise ValueError("t must be at least 1")
     plane = load_plane(args.plane)
     result = exhaustive_extremal_search(SearchTask(plane, args.t, node_budget=args.budget))
     if args.output:
@@ -257,10 +248,9 @@ def _cmd_search(args) -> int:
 
 def _cmd_certify(args) -> int:
     if not 2 <= args.q <= 4:
-        print("error: certification is desk-scale only, q must be 2, 3, or 4", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("certification is desk-scale only, q must be 2, 3, or 4")
     pp = PrimePower.from_order(args.q)
-    plane = build_desarguesian_plane(make_field(pp.p, pp.k))
+    plane = build_desarguesian_plane(FieldSpec(pp.p, pp.k))
     report = certify_no_other_t(plane, node_budget=args.budget)
     if args.json:
         print(json.dumps(report.as_dict()))
@@ -296,7 +286,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _HANDLERS[args.command](args)
-    except (PlaneFormatError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -103,7 +103,7 @@ class ExtremalValue(NamedTuple):
     family: FamilyLabel
 
 
-def classify_prime_power(q: int | PrimePower) -> list[ExtremalValue]:
+def classify_prime_power(q: int) -> list[ExtremalValue]:
     """The closed-form list of (t, b, family) attaining the bound in order q.
 
     For non-square q only t = q occurs (plane minus a point); square q adds
@@ -111,7 +111,7 @@ def classify_prime_power(q: int | PrimePower) -> list[ExtremalValue]:
     b = q - 1).  Implemented from the classification theorem directly, not
     by search; equality_candidates is the independent cross-check.
     """
-    pp = q if isinstance(q, PrimePower) else PrimePower.from_order(q)
+    pp = PrimePower.from_order(q)
     entries = []
     if pp.k % 2 == 0:
         r = isqrt(pp.q)
@@ -156,10 +156,10 @@ class CaseTrace:
     consistent: bool
 
 
-def case_trace(q: int | PrimePower, t: int, b: int) -> CaseTrace:
+def case_trace(q: int, t: int, b: int) -> CaseTrace:
     """Trace which case of the classification a solution (q, t, b) lands in."""
-    pp = q if isinstance(q, PrimePower) else PrimePower.from_order(q)
-    q, p = pp.q, pp.p
+    pp = PrimePower.from_order(q)
+    p = pp.p
     EqualityParams(q, t, b)  # raises unless both equality conditions hold
 
     d = b - t + 1

@@ -7,7 +7,7 @@ lookup (``FieldSpec.int_tables``); on first use, addition is tabulated
 digit by digit and multiplication from exp/log tables of a generator, whose
 powers are the only other place polynomials are multiplied.  The reduction modulus is the lexicographically
 smallest monic irreducible polynomial of degree k (coefficients compared
-from the constant term upward), which ``FieldSpec`` finds itself with
+from the constant term upward), which ``FieldSpec(p, k)`` finds itself with
 Ben-Or's irreducibility test: one canonical model of GF(p^k) per (p, k), so
 every downstream construction is reproducible across runs.
 """
@@ -155,18 +155,25 @@ class FieldTables(NamedTuple):
 
 class FieldSpec:
     """Arithmetic context for GF(p^k) under its canonical modulus, which
-    the constructor finds from ``prime_power`` alone (see the module doc).
+    the constructor finds from p and k alone (see the module doc).
+
+    The degree range and the characteristic cap are checked first, so a p
+    above the cap is refused before the trial-division primality test,
+    which ``PrimePower`` then runs on p.
 
     An element is its index (an ``int`` in ``range(order)``); every operation
     is a lookup in tables built on first use (see ``int_tables``).
     """
 
-    def __init__(self, prime_power: PrimePower):
-        p, k = prime_power.p, prime_power.k
-        self.prime_power = prime_power
+    def __init__(self, p: int, k: int):
+        if not 1 <= k <= MAX_EXTENSION_DEGREE:
+            raise ValueError(f"extension degree must be in 1..{MAX_EXTENSION_DEGREE}")
+        if p > MAX_CHARACTERISTIC:
+            raise ValueError("characteristic too large")
+        self.prime_power = PrimePower(p**k, p, k)
         self.p = p
         self.k = k
-        self.order = prime_power.q
+        self.order = p**k
         # for k >= 2 a constant term of 0 makes x a factor, so start at 1
         first = p ** (k - 1) if k > 1 else 0
         self.modulus = next(
@@ -253,17 +260,3 @@ class FieldSpec:
             a = mul[a][a]
             e >>= 1
         return result
-
-
-def make_field(p: int, k: int) -> FieldSpec:
-    """Build GF(p^k) under its canonical modulus (see ``FieldSpec``).
-
-    The degree range and the characteristic cap are checked first, so a p
-    above the cap is refused before the trial-division primality test,
-    which ``PrimePower`` then runs on p.
-    """
-    if not 1 <= k <= MAX_EXTENSION_DEGREE:
-        raise ValueError(f"extension degree must be in 1..{MAX_EXTENSION_DEGREE}")
-    if p > MAX_CHARACTERISTIC:
-        raise ValueError("characteristic too large")
-    return FieldSpec(PrimePower(p**k, p, k))

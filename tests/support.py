@@ -27,7 +27,6 @@ from blocksets import (
     PrimePower,
     build_desarguesian_plane,
     is_two_valued,
-    make_field,
     max_size_bound,
 )
 from blocksets import blocking
@@ -40,7 +39,7 @@ _field_cache: dict[tuple[int, int], FieldSpec] = {}
 def field(p: int, k: int) -> FieldSpec:
     key = (p, k)
     if key not in _field_cache:
-        _field_cache[key] = make_field(p, k)
+        _field_cache[key] = FieldSpec(p, k)
     return _field_cache[key]
 
 

@@ -43,7 +43,7 @@ def criterion(num: int, title: str):
 def test_criterion_1_classification_reproduction():
     with criterion(1, "classifier and brute-force oracle agree for all prime powers <= 1024"):
         for pp in support.prime_powers_up_to(1024):
-            closed = [(e.t, e.b) for e in classify_prime_power(pp)]
+            closed = [(e.t, e.b) for e in classify_prime_power(pp.q)]
             brute = [(e.t, e.b) for e in equality_candidates(pp.q)]
             assert closed == brute, f"q={pp.q}: {closed} != {brute}"
             t_set = {t for t, _ in closed}

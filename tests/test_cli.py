@@ -349,6 +349,48 @@ def test_search_refuses_a_bad_budget_before_loading_the_plane(tmp_path, capsys, 
     assert (code, out, err) == (2, "", "error: node budget must be positive\n")
 
 
+@pytest.mark.parametrize("command", ["search", "verify"])
+@pytest.mark.parametrize("t", ["0", "-1"])
+def test_t_below_1_is_refused_before_loading_the_plane(tmp_path, capsys, command, t):
+    missing = str(tmp_path / "no_such_file.txt")
+    set_option = ["--set", missing] if command == "verify" else []
+    code, out, err = run(capsys, command, "--plane", missing, *set_option, "--t", t)
+    assert (code, out, err) == (2, "", "error: t must be at least 1\n")
+
+
+# The usage errors that a subcommand finds itself, byte for byte.  ``{plane}``
+# names no file; ``{out}`` is a file for "file" and a directory holding
+# set_0000.txt for "dir".
+USAGE_ERRORS = [
+    (["classify", "6"], None,
+     "6 is not a prime power; use 'candidates 6' for necessary-condition solutions"),
+    (["construct", "unital", "8"], None,
+     "8 is not a square; the unital family lives in planes of square order"),
+    (["construct", "baer", "2"], None,
+     "2 is not a square; the baer family lives in planes of square order"),
+    (["certify", "5"], None, "certification is desk-scale only, q must be 2, 3, or 4"),
+    (["search", "--plane", "{plane}", "--t", "2", "--output", "{out}"], "file",
+     "{out} exists and is not a directory"),
+    (["search", "--plane", "{plane}", "--t", "2", "--output", "{out}"], "dir",
+     "{out} already holds set_*.txt files"),
+    (["search", "--plane", "{plane}", "--t", "2", "--budget", "0"], None,
+     "node budget must be positive"),
+]
+
+
+@pytest.mark.parametrize("argv,target,message", USAGE_ERRORS)
+def test_usage_error_stderr_is_exact(tmp_path, capsys, argv, target, message):
+    out_path = tmp_path / "found"
+    if target == "file":
+        out_path.write_text("keep\n")
+    elif target == "dir":
+        out_path.mkdir()
+        (out_path / "set_0000.txt").write_text("keep\n")
+    paths = {"plane": str(tmp_path / "no_such_plane.txt"), "out": str(out_path)}
+    argv = [a.format(**paths) for a in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message.format(**paths)}\n")
+
+
 @pytest.mark.parametrize("option", [["--size", "5"], ["--no-prune"]])
 def test_search_rejects_removed_options(plane_files, capsys, option):
     code, out, err = run(capsys, "search", "--plane", plane_files["fano"], "--t", "2", *option)

@@ -136,7 +136,7 @@ def test_classify_rejects_non_prime_powers():
 
 def test_classifier_matches_oracle_small():
     for pp in support.prime_powers_up_to(128):
-        closed = [(e.t, e.b) for e in classify_prime_power(pp)]
+        closed = [(e.t, e.b) for e in classify_prime_power(pp.q)]
         brute = [(e.t, e.b) for e in equality_candidates(pp.q)]
         assert closed == brute, f"q={pp.q}"
 
@@ -178,7 +178,7 @@ def test_case_trace_validates_input():
 def test_case_trace_over_all_candidates():
     for pp in support.prime_powers_up_to(1024):
         for e in equality_candidates(pp.q):
-            tr = case_trace(pp, e.t, e.b)
+            tr = case_trace(pp.q, e.t, e.b)
             assert tr.case != "I"
             assert tr.consistent
             if tr.case in ("II", "III"):

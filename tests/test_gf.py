@@ -9,7 +9,6 @@ from blocksets import (
     baer_subplane,
     hermitian_unital,
     is_prime,
-    make_field,
 )
 
 
@@ -36,37 +35,37 @@ def test_is_prime_small():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
 
-def test_make_field_rejects_bad_inputs():
+def test_field_spec_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        make_field(4, 1)
+        FieldSpec(4, 1)
     with pytest.raises(ValueError):
-        make_field(2, 0)
+        FieldSpec(2, 0)
     with pytest.raises(ValueError):
-        make_field(2, 17)
+        FieldSpec(2, 17)
 
 
 def test_trivial_degree_one_modulus():
-    assert make_field(2, 1).modulus == (0, 1)
-    assert make_field(7, 1).modulus == (0, 1)
+    assert FieldSpec(2, 1).modulus == (0, 1)
+    assert FieldSpec(7, 1).modulus == (0, 1)
 
 
 def test_gf4_modulus_is_the_unique_irreducible_quadratic():
     # Oracle: irreducible quadratics over GF(2) found by multiplying linears.
     irr = support.irreducible_monics_by_products(2, 2)
     assert irr == [(1, 1, 1)]
-    assert make_field(2, 2).modulus == (1, 1, 1)
+    assert FieldSpec(2, 2).modulus == (1, 1, 1)
 
 
 def test_gf9_modulus_lex_smallest():
     irr = support.irreducible_monics_by_products(3, 2)
     assert min(irr) == (1, 0, 1)
-    assert make_field(3, 2).modulus == (1, 0, 1)
+    assert FieldSpec(3, 2).modulus == (1, 0, 1)
 
 
 @pytest.mark.parametrize("p,k", [(2, 3), (2, 4), (3, 3), (5, 2)])
 def test_modulus_is_lex_smallest_irreducible(p, k):
     irr = support.irreducible_monics_by_products(p, k)
-    assert make_field(p, k).modulus == min(irr)
+    assert FieldSpec(p, k).modulus == min(irr)
 
 
 def test_modulus_matches_trial_division_oracle():
@@ -75,14 +74,14 @@ def test_modulus_matches_trial_division_oracle():
     ]
     assert len(prime_powers) == 26
     for p, k in prime_powers:
-        assert make_field(p, k).modulus == support.modulus_by_trial_division(p, k), (p, k)
+        assert FieldSpec(p, k).modulus == support.modulus_by_trial_division(p, k), (p, k)
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_modulus_search_is_fast_for_a_large_characteristic(k):
     p = 2**31 - 1
     start = time.perf_counter()
-    modulus = make_field(p, k).modulus
+    modulus = FieldSpec(p, k).modulus
     assert time.perf_counter() - start < 1.0
     assert len(modulus) == k + 1 and modulus[0] == modulus[-1] == 1
     if k == 2:
@@ -95,19 +94,19 @@ def test_modulus_search_is_fast_for_a_large_characteristic(k):
         assert not square(b * b - 4) and all(square(c * c - 4) for c in range(b))
 
 
-def test_make_field_deterministic():
-    assert make_field(2, 4).modulus == make_field(2, 4).modulus
-    assert make_field(2, 4) == make_field(2, 4)
+def test_field_spec_deterministic():
+    assert FieldSpec(2, 4).modulus == FieldSpec(2, 4).modulus
+    assert FieldSpec(2, 4) == FieldSpec(2, 4)
 
 
 def test_fieldspec_finds_its_own_modulus():
-    spec = FieldSpec(PrimePower(9, 3, 2))
-    assert spec.modulus == (1, 0, 1) == make_field(3, 2).modulus
-    assert spec == make_field(3, 2) and hash(spec) == hash(make_field(3, 2))
-    assert spec != make_field(2, 3)
+    spec = FieldSpec(3, 2)
+    assert spec.modulus == (1, 0, 1) == FieldSpec(3, 2).modulus
+    assert spec == FieldSpec(3, 2) and hash(spec) == hash(FieldSpec(3, 2))
+    assert spec != FieldSpec(2, 3)
 
 
-def test_make_field_checks_caps_before_primality(monkeypatch):
+def test_field_spec_checks_caps_before_primality(monkeypatch):
     import blocksets.gf
 
     tested = []
@@ -120,9 +119,9 @@ def test_make_field_checks_caps_before_primality(monkeypatch):
     monkeypatch.setattr(blocksets.gf, "is_prime", recording_is_prime)
     for p in (2**61 - 1, cap + 1):
         with pytest.raises(ValueError, match="characteristic too large"):
-            make_field(p, 1)
+            FieldSpec(p, 1)
     assert tested == []
-    make_field(3, 2)
+    FieldSpec(3, 2)
     assert tested == [3]
 
 
@@ -251,12 +250,12 @@ def test_table_arithmetic_matches_tuple_oracle(p, k):
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128])
 def test_int_tables_match_polynomial_oracle(q):
     pp = PrimePower.from_order(q)
-    f = make_field(pp.p, pp.k)
+    f = FieldSpec(pp.p, pp.k)
     assert tuple(f.int_tables()) == support.tables_by_polynomials(f)
 
 
 def test_tables_are_built_on_first_use():
-    f = make_field(1000003, 1)
+    f = FieldSpec(1000003, 1)
     assert f._tables is None
     assert (f.elements(), f.one) == (range(1000003), 1)
     with pytest.raises(ValueError, match="table cap"):
