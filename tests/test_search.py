@@ -1,5 +1,7 @@
+import functools
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -79,8 +81,8 @@ def test_prune_safety_on_pg23():
 
 
 def _relabelled(plane, seed):
-    """The plane with its points renumbered and each line's points listed in
-    an order drawn from the seed."""
+    """The plane with its points renumbered, its lines reordered and each
+    line's points listed in an order drawn from the seed."""
     rng = random.Random(seed)
     relabel = list(range(plane.num_points))
     rng.shuffle(relabel)
@@ -89,6 +91,7 @@ def _relabelled(plane, seed):
         line = [relabel[i] for i in pts]
         rng.shuffle(line)
         lines.append(line)
+    rng.shuffle(lines)
     return IncidencePlane(plane.order, lines)
 
 
@@ -132,13 +135,17 @@ def _both_searches(plane, t, budget):
     """(masks found, nodes, complete) of the search and of its step-by-step
     oracle, at one budget."""
     bv = max_size_bound(plane.order, t)
-    return [
-        ([ps.mask for ps in found], nodes, complete)
-        for found, nodes, complete in (
-            search._pruned_search(plane, t, bv.bound, bv.b, budget),
-            support.pruned_search_by_steps(plane, t, bv.bound, bv.b, budget),
-        )
-    ]
+    found, nodes, complete = search._pruned_search(plane, t, bv.bound, bv.b, budget)
+    return [([ps.mask for ps in found], nodes, complete), _by_steps(plane, t, budget)]
+
+
+@functools.lru_cache(maxsize=None)
+def _by_steps(plane, t, budget):
+    """(masks found, nodes, complete) of the step-by-step oracle, which no
+    setting of the search changes, so each is computed once per session."""
+    bv = max_size_bound(plane.order, t)
+    found, nodes, complete = support.pruned_search_by_steps(plane, t, bv.bound, bv.b, budget)
+    return [ps.mask for ps in found], nodes, complete
 
 
 # LONG_TAIL_LINES=0 settles every forced tail, however short, so that the
@@ -192,6 +199,86 @@ def test_search_matches_step_by_step_on_sampled_budgets(monkeypatch, k, t, budge
     for budget in budgets:
         new, old = _both_searches(plane, t, budget)
         assert new == old, budget
+
+
+# The per-point tables of a small plane are all kept.  TABLE_BYTES=0 builds
+# each one when a node reaches its point; 500 bytes keep the tables of the
+# last 11 of PG(2,4)'s 21 points and the last 4 of PG(2,7)'s 57, so a search
+# uses both.  Two-byte fields, which only planes of order 127 and up use,
+# are forced on the small planes too.
+TABLES = pytest.mark.parametrize(
+    "table_bytes, field_format",
+    [(search.TABLE_BYTES, None), (500, None), (0, None), (search.TABLE_BYTES, "H")],
+    ids=["kept_tables", "some_tables", "tables_on_use", "two_byte_fields"],
+)
+
+
+def _set_tables(monkeypatch, table_bytes, field_format):
+    monkeypatch.setattr(search, "TABLE_BYTES", table_bytes)
+    if field_format is not None:
+        monkeypatch.setattr(search, "_field_format", lambda order: field_format)
+
+
+# PG(2,7) at t=2 and t=3 has no extremal set and a tree too large to finish:
+# every budget below stops the search, among the bushy nodes of its first
+# points and deep in its tree
+Q7_BUDGETS = [1, 2, 57, 58, 1000, 4321, 65536, 123457, 200000]
+
+
+@TABLES
+@pytest.mark.parametrize("t", [2, 3], ids=["pg27_t2", "pg27_t3"])
+def test_search_matches_step_by_step_on_pg27(monkeypatch, t, table_bytes, field_format):
+    _set_tables(monkeypatch, table_bytes, field_format)
+    plane = support.desarguesian(7, 1)
+    for budget in Q7_BUDGETS:
+        new, old = _both_searches(plane, t, budget)
+        assert new == old, budget
+        assert new[1:] == (budget, False)
+
+
+@functools.lru_cache(maxsize=None)
+def _relabelled_pg24():
+    return _relabelled(support.desarguesian(2, 2), 2024)
+
+
+@TABLES
+@pytest.mark.parametrize(
+    "t, found, budgets",
+    [
+        (1, 280, [1, 21, 300, 5000, 51234, 103055, 103056, DEFAULT_NODE_BUDGET]),
+        (2, 360, [1, 21, 300, 5000, 45678, 90808, 90809, DEFAULT_NODE_BUDGET]),
+    ],
+    ids=["pg24_t1", "pg24_t2"],
+)
+def test_search_matches_step_by_step_on_a_relabelled_pg24(monkeypatch, t, found, budgets,
+                                                          table_bytes, field_format):
+    _set_tables(monkeypatch, table_bytes, field_format)
+    plane = _relabelled_pg24()
+    for budget in budgets:
+        new, old = _both_searches(plane, t, budget)
+        assert new == old, budget
+    masks, _, complete = new
+    assert complete and len(masks) == found
+
+
+def test_search_tables_stay_small_on_pg232():
+    """The tables of every point of PG(2,32) take about 2.2 MB; only the
+    last points' tables, up to TABLE_BYTES, are kept.  The search's peak,
+    traced with the plane's lines and indices already built, read 0.74 MiB
+    with a list of counts, 1.29 MiB with the tables of the last points and
+    3.09 MiB keeping every table, alike on Python 3.10 to 3.13."""
+    plane = support.desarguesian(2, 5)
+    plane.lines, plane.line_masks, plane.point_lines
+    bv = max_size_bound(32, 32)
+    tracemalloc.start()
+    try:
+        found, nodes, complete = search._pruned_search(plane, 32, bv.bound, bv.b,
+                                                       DEFAULT_NODE_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(found), nodes, complete) == (1057, 560209, True)
+    assert peak < 2.2 * 2**20
 
 
 def test_budget_truncation_reports_incomplete():
