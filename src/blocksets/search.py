@@ -1,10 +1,17 @@
 """Exhaustive bitset backtracking for extremal minimal t-fold blocking sets.
 
+A set S of the bound's size m is extremal only if every line meets it in t
+to b+1 points; its complement, of N - m points, then meets every line in
+n - b to n + 1 - t points.  The search walks whichever side is smaller,
+judged from the sizes alone: sets of N - m points when 2m > N, complemented
+at the end, and sets of m points otherwise.  At t = q, the plane minus a
+point, that is a search for single points.
+
 Subsets are enumerated in lexicographic point order, include branch first,
-with three prunes: a line that can no longer reach t points is dead, a line
-already holding b+1 points takes no more, and a branch that cannot reach the
-target size is cut.  Every completed set is re-verified through the blocking
-module before it is reported; search bookkeeping is never trusted.
+with three prunes: a line that can no longer reach the lower count is dead,
+a line already holding the upper count takes no more, and a branch that
+cannot reach the target size is cut.  Every reported set is re-verified
+through the blocking module; search bookkeeping is never trusted.
 
 The search is iterative, one loop over an explicit stack, with a global node
 budget: a result reports at most that many nodes, and is complete exactly
@@ -15,21 +22,9 @@ up to order 126 (two bytes above), so that taking a point is one integer
 addition and each prune one addition and one mask test.  Each point has two
 precomputed addends, kept for as many of the last points as TABLE_BYTES
 holds and built on use for the others, so the tables stay small next to the
-plane.  The bushy trees run about four times faster than with a list of
-counts: PG(2,4) at t = 1 and 2 in about 0.1 s each against 0.3-0.4 s, and
-PG(2,7) at t = 2 and 3 to a budget of 10^6 nodes in 0.7-1.2 s against
-3.1-4.4 s.
-
-A node that must take every remaining point heads a forced tail.  A long
-one is settled in one step, from the lines' counts in its completion,
-instead of one point at a time; the walk costs O(N) nodes per tail, so
-O(N^2) per search where t = q and the search certifies the plane minus a
-point.  Node counts and the budget still count the step-by-step tree: a
-settled tail adds exactly the nodes the walk would visit, and a budget that
-runs out inside it stops at the same node with the same sets.  PG(2,32) at
-t = 32 (560209 nodes) takes about 0.5 s and PG(2,64) at t = 64 (8663201
-nodes) about 16-23 s on a 2-core Xeon under CPython 3.11, against 6-7 s and
-an estimated 90 s walking every tail.
+plane.  PG(2,4) at t = 1 and 2 (103056 and 60845 nodes) takes about 0.1 s
+each, and PG(2,64) at t = 64 (8323 nodes) about 15-18 s on a 2-core Xeon
+under CPython 3.11, nearly all of it the re-verification of its 4161 sets.
 """
 
 from __future__ import annotations
@@ -37,7 +32,6 @@ from __future__ import annotations
 import struct
 import sys
 import time
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -48,20 +42,14 @@ from .families import PointSet, characterize
 from .plane import IncidencePlane
 
 DEFAULT_NODE_BUDGET = 10**9
-# A forced tail is settled in one pass over the lines only when it has more
-# points than this many lines hold: at two, the bushy PG(2,4) and PG(2,7)
-# trees, whose tails stop within a few points, run as fast as with no
-# settling; at one, PG(2,7) t=3 ran about 15% slower.
-LONG_TAIL_LINES = 2
 # A point's two tables, integers of one field per line, are kept only for
 # the last points, as many as fit in this many bytes; a node at an earlier
 # point builds them anew.  Every point's tables fit up to PG(2,19), so the
-# bushy trees build each once.  A t = q search visits its last points most
-# (at PG(2,64), 18280 of its 29511 loop steps are in the last tenth), and
-# keeping every table there took 36 MB more resident memory (66 against
-# 30 MB) for no measurable gain in time; at this limit the traced peak of
-# PG(2,32) at t = 32 is 1.29 MiB, against 0.74 MiB with a list of counts
-# and 3.09 MiB keeping every table.
+# bushy trees build each once.  A t = q search reaches each point once, so
+# keeping every table gains it nothing, and at PG(2,64) they would take
+# 35 MB; at this limit the traced peak of PG(2,32) at t = 32 is 1.05 MiB,
+# against 0.51 MiB building every table on use and 2.84 MiB keeping every
+# table.
 TABLE_BYTES = 1 << 19
 
 
@@ -113,45 +101,6 @@ class SearchResult:
         }
 
 
-def _keep_if_extremal(ps, t, b, found):
-    """Append ps to found if blocking.verify finds it minimal with the
-    two-valued spectrum {t, b+1}: search bookkeeping is never trusted."""
-    verdict = blocking.verify(ps, t)
-    if verdict.minimal and blocking.is_two_valued(verdict.spectrum, t, b):
-        found.append(ps)
-
-
-def _forced_tail(plane, mask, i, t, b):
-    """What the step-by-step search does below a fresh node at point i that
-    must take every point from i on, read from the lines' counts in the
-    completion (the mask and every point from i on), with no walk.
-
-    Returns (stop, leaf, excluded).  The search takes point after point
-    until, at ``stop``, a line through the point already holds b+1 points,
-    and so visits the fresh nodes i .. stop; stop is num_points when it
-    reaches the leaf, the completion, which ``leaf`` holds if every line
-    meets it in t points or more (else None).  On the way back it visits the
-    exclude node of each point from i up to stop (below num_points) whose
-    lines all keep more than t points of the completion: ``excluded`` of
-    them, each cut at once because too few points are left.
-    """
-    num_points = plane.num_points
-    completion = mask | (((1 << num_points) - 1) >> i << i)
-    held = [(lm & completion).bit_count() for lm in plane.line_masks]
-    # on a line holding more than b+1 points of the completion, the walk
-    # stops at its (b+2)-th; the mask holds at most b+1 of them, all below i
-    stop = min((pts[bisect_left(pts, i) + b + 1 - (lm & mask).bit_count()]
-                for pts, lm, c in zip(plane.lines, plane.line_masks, held) if c > b + 1),
-               default=num_points)
-    tight = 0
-    for lm, c in zip(plane.line_masks, held):
-        if c <= t:
-            tight |= lm
-    span = (1 << min(stop + 1, num_points)) - (1 << i)
-    leaf = completion if stop == num_points and min(held) >= t else None
-    return stop, leaf, (span & ~tight).bit_count()
-
-
 def _field_format(order):
     """The memoryview format of one line's field in the packed counts.  A
     field holds its line's count, at most order+1, below its top bit, and
@@ -160,10 +109,11 @@ def _field_format(order):
     return "B" if order + 1 < 128 else "H"
 
 
-def _pruned_search(plane, t, m, b, budget):
-    """Depth-first include-then-exclude search on an explicit stack.
+def _pruned_search(plane, m, lo, hi, budget):
+    """Depth-first include-then-exclude search on an explicit stack for the
+    sets of m points that meet every line in lo to hi points.
 
-    Returns (found sets, nodes visited, complete).  A fresh node is the entry
+    Returns (leaf masks, nodes visited, complete).  A fresh node is the entry
     (point, size, mask, None); (point, size, mask, included) marks the return
     from that node's include branch, where the include is undone (if it was
     taken) and the exclude branch is tried.  The search stops before visiting
@@ -175,15 +125,8 @@ def _pruned_search(plane, t, m, b, budget):
     Each prune is one addition and one mask test: the addend biases every
     field so that its top bit is set exactly when its line is over (or
     short), and the test reads the top bits.
-
-    A fresh node that must take every remaining point, and has more of them
-    than LONG_TAIL_LINES lines' worth, is settled by ``_forced_tail``: nodes
-    grows by the nodes the step-by-step walk would visit, and a budget that
-    runs out inside the tail stops at the same node.  A shorter tail walks,
-    since one pass over every line costs more than its few steps.
     """
     num_points, num_lines = plane.num_points, plane.num_lines
-    settle_below = num_points - LONG_TAIL_LINES * (plane.order + 1)
     fmt = _field_format(plane.order)
     field_bytes = struct.calcsize(fmt)
     top = 1 << (8 * field_bytes - 1)
@@ -192,8 +135,8 @@ def _pruned_search(plane, t, m, b, budget):
     high_bytes = top.to_bytes(field_bytes, sys.byteorder) * num_lines
     high = int.from_bytes(high_bytes, sys.byteorder)
     unit = high // top  # one in every field
-    over = unit * (top - b - 2)  # top bit set: the line holds b+2 points
-    short = unit * (top - t)  # top bit clear: the line holds fewer than t
+    over = unit * (top - hi - 1)  # top bit set: the line holds hi+1 points
+    short = unit * (top - lo)  # top bit clear: the line holds fewer than lo
     # after[i][k]: points beyond i on line point_lines[i][k] (lines are
     # sorted); both list the lines through i in index order
     after = [[] for _ in range(num_points)]
@@ -204,15 +147,15 @@ def _pruned_search(plane, t, m, b, budget):
 
     def point_tables(i):
         """(inc, dead) of point i.  inc: one in the field of each line
-        through i.  dead: top plus the points beyond i minus t in the field
+        through i.  dead: top plus the points beyond i minus lo in the field
         of each line through i, top elsewhere, so that the top bits of
-        c + dead all stay set unless excluding i leaves a line short of t."""
+        c + dead all stay set unless excluding i leaves a line short of lo."""
         inc = bytearray(len(high_bytes))
         dead = bytearray(high_bytes)
         inc_fields, dead_fields = memoryview(inc).cast(fmt), memoryview(dead).cast(fmt)
         for j, rest in zip(plane.point_lines[i], after[i]):
             inc_fields[j] = 1
-            dead_fields[j] = top + rest - t
+            dead_fields[j] = top + rest - lo
         return int.from_bytes(inc, sys.byteorder), int.from_bytes(dead, sys.byteorder)
 
     # the last points' tables, as many as TABLE_BYTES holds; the others are
@@ -220,7 +163,7 @@ def _pruned_search(plane, t, m, b, budget):
     kept_from = max(0, num_points - TABLE_BYTES // (2 * len(high_bytes)))
     tables = [None] * kept_from + [point_tables(i) for i in range(kept_from, num_points)]
     c = 0
-    found = []
+    leaves = []
     nodes = 0
     stack = [(0, 0, 0, None)]
     while stack:
@@ -233,28 +176,16 @@ def _pruned_search(plane, t, m, b, budget):
                 stack.append((i + 1, size, mask, None))
             continue
         if nodes == budget:
-            return found, nodes, False
+            return leaves, nodes, False
         nodes += 1
         if size == m:
             if (c + short) & high == high:
-                _keep_if_extremal(PointSet(plane, mask), t, b, found)
+                leaves.append(mask)
             continue
-        spare = size + (num_points - i) - m  # points the search may still skip
-        if spare < 0:
+        if size + (num_points - i) < m:
             continue
-        if spare == 0 and i < settle_below:
-            stop, leaf, excluded = _forced_tail(plane, mask, i, t, b)
-            nodes += stop - i
-            if nodes > budget:
-                return found, budget, False
-            if leaf is not None:
-                _keep_if_extremal(PointSet(plane, leaf), t, b, found)
-            nodes += excluded
-            if nodes > budget:
-                return found, budget, False
-            continue
-        # every line holds at most b+1 points, so only a line through i can
-        # reach b+2 by taking i
+        # every line holds at most hi points, so only a line through i can
+        # reach hi+1 by taking i
         taken = c + (tables[i] or point_tables(i))[0]
         if (taken + over) & high:
             stack.append((i, size, mask, False))
@@ -262,7 +193,7 @@ def _pruned_search(plane, t, m, b, budget):
             c = taken
             stack.append((i, size, mask, True))
             stack.append((i + 1, size + 1, mask | (1 << i), None))
-    return found, nodes, True
+    return leaves, nodes, True
 
 
 def family_tally(sets: Sequence[PointSet]) -> dict[str, int]:
@@ -285,6 +216,18 @@ def exhaustive_extremal_search(task: SearchTask) -> SearchResult:
     below the node that decides x, where A takes the include branch and so is
     found first.  A is also lexicographically smaller: the two agree below x,
     where A next holds x and B, of the same size, a point above x.
+
+    On the complement side the search finds the complements in that order,
+    and complementing reverses it, so the complemented leaves are reported
+    in reverse.  For two sets A and B of one size, the smallest point x in
+    exactly one of them is also the smallest point in exactly one of their
+    complements, and it lies in the other one's: if A holds x, the
+    complement of B does.  So A comes before B exactly when the complement
+    of B comes before the complement of A.
+
+    The search only bounds line counts.  Each leaf, complemented on the
+    complement side, goes to ``blocking.verify`` and is kept only if it is
+    minimal with spectrum {t, b+1}.
     """
     start = time.perf_counter()
     plane, t = task.plane, task.t
@@ -293,8 +236,20 @@ def exhaustive_extremal_search(task: SearchTask) -> SearchResult:
     bv = max_size_bound(plane.order, t)
     if not bv.attainable:
         return SearchResult(t, None, [], 0, time.perf_counter() - start, True, {})
-    m, b = bv.bound, bv.b
-    sets, nodes, complete = _pruned_search(plane, t, m, b, task.node_budget)
+    m, b, n, N = bv.bound, bv.b, plane.order, plane.num_points
+    if 2 * m > N:
+        leaves, nodes, complete = _pruned_search(plane, N - m, n - b, n + 1 - t,
+                                                 task.node_budget)
+        everything = (1 << N) - 1
+        masks = [everything ^ mask for mask in reversed(leaves)]
+    else:
+        masks, nodes, complete = _pruned_search(plane, m, t, b + 1, task.node_budget)
+    sets = []
+    for mask in masks:
+        ps = PointSet(plane, mask)
+        verdict = blocking.verify(ps, t)
+        if verdict.minimal and blocking.is_two_valued(verdict.spectrum, t, b):
+            sets.append(ps)
     seconds = time.perf_counter() - start
     return SearchResult(t, m, sets, nodes, seconds, complete, family_tally(sets))
 

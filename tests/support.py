@@ -13,8 +13,8 @@ extremal sets are found by filtering every subset of the bound's size
 through ``blocking.verify``, with no prune; the verifier itself is checked
 against line members counted from ``plane.lines`` and a Python set, which
 also finds the largest minimal sets by enumerating every subset; and the
-search's node counts and budget stops are checked against its
-step-by-step form, which walks every forced tail one point at a time.
+search's leaves, node counts and budget stops are checked against the same
+tree walked with a list of line counts in place of packed integers.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from blocksets import (
     is_two_valued,
     max_size_bound,
 )
-from blocksets import blocking
 from blocksets.blocking import verify
 
 _plane_cache: dict[int, object] = {}
@@ -327,10 +326,12 @@ def largest_minimal_sets_by_enumeration(plane, t):
 # -- step-by-step search oracle ----------------------------------------------
 
 
-def pruned_search_by_steps(plane, t, m, b, budget):
-    """Depth-first include-then-exclude search on an explicit stack.
+def pruned_search_by_steps(plane, m, lo, hi, budget):
+    """Depth-first include-then-exclude search on an explicit stack for the
+    sets of m points that meet every line in lo to hi points, counted in a
+    list with one entry per line.
 
-    Returns (found sets, nodes visited, complete).  A fresh node is the entry
+    Returns (leaf masks, nodes visited, complete).  A fresh node is the entry
     (point, size, mask, None); (point, size, mask, included) marks the return
     from that node's include branch, where the include is undone (if it was
     taken) and the exclude branch is tried.  The search stops before visiting
@@ -346,7 +347,7 @@ def pruned_search_by_steps(plane, t, m, b, budget):
         for rank, i in enumerate(pts):
             after[i].append(last - rank)
     counts = [0] * plane.num_lines
-    found = []
+    leaves = []
     nodes = 0
     stack = [(0, 0, 0, None)]
     while stack:
@@ -356,29 +357,26 @@ def pruned_search_by_steps(plane, t, m, b, budget):
             if included:
                 for j in lines:
                     counts[j] -= 1
-            if all(counts[j] + rest >= t for j, rest in zip(lines, after[i])):
+            if all(counts[j] + rest >= lo for j, rest in zip(lines, after[i])):
                 stack.append((i + 1, size, mask, None))
             continue
         if nodes == budget:
-            return found, nodes, False
+            return leaves, nodes, False
         nodes += 1
         if size == m:
-            if all(c >= t for c in counts):
-                ps = PointSet(plane, mask)
-                verdict = blocking.verify(ps, t)
-                if verdict.minimal and blocking.is_two_valued(verdict.spectrum, t, b):
-                    found.append(ps)
+            if all(c >= lo for c in counts):
+                leaves.append(mask)
             continue
         if i == num_points or size + (num_points - i) < m:
             continue
         lines = pt_lines[i]
-        take = all(counts[j] <= b for j in lines)
+        take = all(counts[j] < hi for j in lines)
         stack.append((i, size, mask, take))
         if take:
             for j in lines:
                 counts[j] += 1
             stack.append((i + 1, size + 1, mask | (1 << i), None))
-    return found, nodes, True
+    return leaves, nodes, True
 
 
 # -- equality-condition oracle -------------------------------------------------

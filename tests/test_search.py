@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 import sys
@@ -109,56 +110,75 @@ def test_search_does_not_depend_on_point_numbering(p, k, t):
     "p, k, t, budget, nodes, found, complete",
     [
         (2, 2, 1, DEFAULT_NODE_BUDGET, 103056, 280, True),
-        (2, 2, 2, DEFAULT_NODE_BUDGET, 90809, 360, True),
-        (2, 4, 16, DEFAULT_NODE_BUDGET, 37673, 273, True),
+        (2, 2, 2, DEFAULT_NODE_BUDGET, 60845, 360, True),
         (2, 2, 1, 5000, 5000, 24, False),
-        (19, 1, 19, DEFAULT_NODE_BUDGET, 73151, 381, True),
-        (2, 5, 32, DEFAULT_NODE_BUDGET, 560209, 1057, True),
-        (2, 4, 16, 20000, 20000, 198, False),
-        (2, 4, 16, 37672, 37672, 272, False),
-        (2, 2, 4, 100, 100, 12, False),
+        (2, 2, 2, 1000, 1000, 6, False),
     ],
-    ids=["pg24_t1", "pg24_t2", "pg216_t16", "pg24_t1_budget", "pg219_t19", "pg232_t32",
-         "pg216_t16_budget", "pg216_t16_budget_last_tail", "pg24_t4_budget"],
+    ids=["pg24_t1", "pg24_t2", "pg24_t1_budget", "pg24_t2_budget"],
 )
 def test_search_tree_is_pinned(p, k, t, budget, nodes, found, complete):
-    """Searches too large for the enumeration oracle; the node count also
-    catches a weakened prune that still finds the same sets.  The counts are
-    those of the step-by-step tree, which walks every forced tail."""
+    """Bushy trees whose size has no closed form, counted by the
+    step-by-step oracle; the node count also catches a weakened prune that
+    still finds the same sets.  t=1 is searched directly, t=2 on the
+    complement side."""
     result = exhaustive_extremal_search(
         SearchTask(support.desarguesian(p, k), t, node_budget=budget)
     )
     assert (result.nodes, len(result.sets), result.complete) == (nodes, found, complete)
 
 
-def _both_searches(plane, t, budget):
-    """(masks found, nodes, complete) of the search and of its step-by-step
-    oracle, at one budget."""
+@functools.lru_cache(maxsize=None)
+def _relabelled_pg24():
+    return _relabelled(support.desarguesian(2, 2), 2024)
+
+
+@pytest.mark.parametrize(
+    "p, k, relabel",
+    [(2, 1, False), (3, 1, False), (2, 2, False), (5, 1, False), (7, 1, False), (2, 3, False),
+     (3, 2, False), (2, 4, False), (19, 1, False), (2, 5, False), (2, 2, True)],
+    ids=["pg22", "pg23", "pg24", "pg25", "pg27", "pg28", "pg29", "pg216", "pg219", "pg232",
+         "pg24_relabelled"],
+)
+def test_plane_minus_point_search_takes_2n_plus_1_nodes(p, k, relabel):
+    """At t=q the search looks for the one point a set leaves out: each point
+    is a node that takes it, a leaf, and a node that skips it, and the last
+    skip is cut, so N points take 2N+1 nodes and give N sets.  A budget of
+    2N stops before that last node, with every set found."""
+    plane = _relabelled_pg24() if relabel else support.desarguesian(p, k)
+    n, N = plane.order, plane.num_points
+    full = exhaustive_extremal_search(SearchTask(plane, n))
+    assert (full.nodes, full.found, full.complete) == (2 * N + 1, N, True)
+    stopped = exhaustive_extremal_search(SearchTask(plane, n, node_budget=2 * N))
+    assert (stopped.nodes, stopped.found, stopped.complete) == (2 * N, N, False)
+    assert _indices(stopped) == _indices(full)
+
+
+def _side(plane, t):
+    """The (m, lo, hi) the program searches for t: the sets of the bound's
+    size m meeting every line in t to b+1 points, or, when they hold more
+    than half the points, their complements, meeting every line in n-b to
+    n+1-t points."""
     bv = max_size_bound(plane.order, t)
-    found, nodes, complete = search._pruned_search(plane, t, bv.bound, bv.b, budget)
-    return [([ps.mask for ps in found], nodes, complete), _by_steps(plane, t, budget)]
+    n, N, m, b = plane.order, plane.num_points, bv.bound, bv.b
+    return (N - m, n - b, n + 1 - t) if 2 * m > N else (m, t, b + 1)
+
+
+def _both_searches(plane, t, budget):
+    """(leaf masks, nodes, complete) of the search and of its step-by-step
+    oracle, at one budget, on the side the program searches."""
+    return [search._pruned_search(plane, *_side(plane, t), budget), _by_steps(plane, t, budget)]
 
 
 @functools.lru_cache(maxsize=None)
 def _by_steps(plane, t, budget):
-    """(masks found, nodes, complete) of the step-by-step oracle, which no
+    """(leaf masks, nodes, complete) of the step-by-step oracle, which no
     setting of the search changes, so each is computed once per session."""
-    bv = max_size_bound(plane.order, t)
-    found, nodes, complete = support.pruned_search_by_steps(plane, t, bv.bound, bv.b, budget)
-    return [ps.mask for ps in found], nodes, complete
+    return support.pruned_search_by_steps(plane, *_side(plane, t), budget)
 
 
-# LONG_TAIL_LINES=0 settles every forced tail, however short, so that the
-# small planes exercise the settled path on every tail they have
-SETTLE = pytest.mark.parametrize("long_tail_lines", [search.LONG_TAIL_LINES, 0],
-                                 ids=["long_tails", "every_tail"])
-
-
-@SETTLE
 @pytest.mark.parametrize("seed", [None, 1, 2], ids=["canonical", "relabelled1", "relabelled2"])
 @pytest.mark.parametrize("p, k", [(2, 1), (3, 1)], ids=["pg22", "pg23"])
-def test_search_matches_step_by_step_on_every_budget(monkeypatch, p, k, seed, long_tail_lines):
-    monkeypatch.setattr(search, "LONG_TAIL_LINES", long_tail_lines)
+def test_search_matches_step_by_step_on_every_budget(p, k, seed):
     plane = support.desarguesian(p, k)
     if seed is not None:
         plane = _relabelled(plane, seed)
@@ -172,33 +192,65 @@ def test_search_matches_step_by_step_on_every_budget(monkeypatch, p, k, seed, lo
             assert new == old, (t, budget)
 
 
-@SETTLE
 @pytest.mark.parametrize(
     "k, t, budgets",
     [
-        # settling every tail, budget 214 stops before the one exclude node
-        # of a tail that stops short of the leaf; 103055 stops inside the
-        # last tail
         (2, 1, [1, 2, 50, 108, 214, 215, 4999, 5000, 77777, 103050, 103055, 103056,
                 103057]),
-        # settling every tail, the first 300 nodes hold tails that stop
-        # short of the leaf, with and without exclude nodes; 28040 and 50130
-        # stop inside two of the 16 long tails
-        (2, 2, [*range(1, 301), 28040, 50130, 60000, 90808, 90809, 90810]),
-        (2, 4, [1, 21, 22, 100, 233, 250, 251, 252]),
-        # the last 238 forced tails of this tree, over 36000 nodes, are long;
-        # 1000 and 20000 stop inside one, and 37672 inside the very last
-        (4, 16, [273, 1000, 20000, 37400, 37672, 37673, 37674]),
+        (2, 2, [*range(1, 301), 28040, 50130, 60000, 60844, 60845, 60846]),
+        (2, 4, list(range(1, 45))),
+        (4, 16, [1, 2, 272, 273, 274, 545, 546, 547, 548]),
     ],
     ids=["pg24_t1", "pg24_t2", "pg24_t4", "pg216_t16"],
 )
-def test_search_matches_step_by_step_on_sampled_budgets(monkeypatch, k, t, budgets,
-                                                        long_tail_lines):
-    monkeypatch.setattr(search, "LONG_TAIL_LINES", long_tail_lines)
+def test_search_matches_step_by_step_on_sampled_budgets(k, t, budgets):
     plane = support.desarguesian(2, k)
     for budget in budgets:
         new, old = _both_searches(plane, t, budget)
         assert new == old, budget
+
+
+@pytest.mark.parametrize("seed", [None, 2024], ids=["canonical", "relabelled"])
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2)], ids=["pg22", "pg23", "pg24"])
+def test_complement_side_finds_the_direct_leaves_in_reverse(p, k, seed):
+    """At every attainable t, the sets of m points meeting each line in t to
+    b+1 points are the complements of the sets of N-m points meeting each
+    line in n-b to n+1-t, and complementing reverses their order."""
+    plane = support.desarguesian(p, k)
+    if seed is not None:
+        plane = _relabelled(plane, seed)
+    n, N = plane.order, plane.num_points
+    everything = (1 << N) - 1
+    ts = [t for t in range(1, n + 1) if max_size_bound(n, t).attainable]
+    assert ts
+    for t in ts:
+        bv = max_size_bound(n, t)
+        m, b = bv.bound, bv.b
+        direct, _, done = search._pruned_search(plane, m, t, b + 1, DEFAULT_NODE_BUDGET)
+        assert done and direct
+        small, _, done = search._pruned_search(plane, N - m, n - b, n + 1 - t,
+                                               DEFAULT_NODE_BUDGET)
+        assert done
+        assert direct == [everything ^ mask for mask in reversed(small)], t
+
+
+@pytest.mark.parametrize("t", [1, 2, 4], ids=["t1_direct", "t2_complement", "t4_complement"])
+def test_every_reported_set_is_reverified(monkeypatch, t):
+    """The search's own counts are not trusted: a set that blocking.verify
+    refuses is not reported, whichever side found it."""
+    plane = support.desarguesian(2, 2)
+    full = exhaustive_extremal_search(SearchTask(plane, t))
+    refused = full.sets[len(full.sets) // 2].mask
+    real_verify = search.blocking.verify
+
+    def refusing_verify(ps, t):
+        verdict = real_verify(ps, t)
+        return dataclasses.replace(verdict, minimal=False) if ps.mask == refused else verdict
+
+    monkeypatch.setattr(search.blocking, "verify", refusing_verify)
+    result = exhaustive_extremal_search(SearchTask(plane, t))
+    assert [ps.mask for ps in result.sets] == [ps.mask for ps in full.sets if ps.mask != refused]
+    assert (result.nodes, result.complete) == (full.nodes, True)
 
 
 # The per-point tables of a small plane are all kept.  TABLE_BYTES=0 builds
@@ -236,17 +288,12 @@ def test_search_matches_step_by_step_on_pg27(monkeypatch, t, table_bytes, field_
         assert new[1:] == (budget, False)
 
 
-@functools.lru_cache(maxsize=None)
-def _relabelled_pg24():
-    return _relabelled(support.desarguesian(2, 2), 2024)
-
-
 @TABLES
 @pytest.mark.parametrize(
     "t, found, budgets",
     [
-        (1, 280, [1, 21, 300, 5000, 51234, 103055, 103056, DEFAULT_NODE_BUDGET]),
-        (2, 360, [1, 21, 300, 5000, 45678, 90808, 90809, DEFAULT_NODE_BUDGET]),
+        (1, 280, [1, 21, 300, 5000, 51234, 92494, 92495, DEFAULT_NODE_BUDGET]),
+        (2, 360, [1, 21, 300, 5000, 45678, 52377, 52378, DEFAULT_NODE_BUDGET]),
     ],
     ids=["pg24_t1", "pg24_t2"],
 )
@@ -263,21 +310,21 @@ def test_search_matches_step_by_step_on_a_relabelled_pg24(monkeypatch, t, found,
 
 def test_search_tables_stay_small_on_pg232():
     """The tables of every point of PG(2,32) take about 2.2 MB; only the
-    last points' tables, up to TABLE_BYTES, are kept.  The search's peak,
-    traced with the plane's lines and indices already built, read 0.74 MiB
-    with a list of counts, 1.29 MiB with the tables of the last points and
-    3.09 MiB keeping every table, alike on Python 3.10 to 3.13."""
+    last points' tables, up to TABLE_BYTES, are kept.  At t=32 the search
+    looks for the one point a set leaves out.  Its peak, traced with the
+    plane's lines and indices already built, read 1.05 MiB with the tables
+    of the last points, 2.84 MiB keeping every table and 0.51 MiB building
+    every table on use, on Python 3.11."""
     plane = support.desarguesian(2, 5)
     plane.lines, plane.line_masks, plane.point_lines
-    bv = max_size_bound(32, 32)
+    assert _side(plane, 32) == (1, 0, 1)
     tracemalloc.start()
     try:
-        found, nodes, complete = search._pruned_search(plane, 32, bv.bound, bv.b,
-                                                       DEFAULT_NODE_BUDGET)
+        leaves, nodes, complete = search._pruned_search(plane, 1, 0, 1, DEFAULT_NODE_BUDGET)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (len(found), nodes, complete) == (1057, 560209, True)
+    assert (len(leaves), nodes, complete) == (1057, 2115, True)
     assert peak < 2.2 * 2**20
 
 
