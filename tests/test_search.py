@@ -111,16 +111,22 @@ def test_search_does_not_depend_on_point_numbering(p, k, t):
     [
         (2, 2, 1, DEFAULT_NODE_BUDGET, 103056, 280, True),
         (2, 2, 2, DEFAULT_NODE_BUDGET, 60845, 360, True),
+        (2, 4, 16, DEFAULT_NODE_BUDGET, 547, 273, True),
         (2, 2, 1, 5000, 5000, 24, False),
+        (2, 4, 16, 300, 300, 150, False),
+        (2, 4, 16, 546, 546, 273, False),
         (2, 2, 2, 1000, 1000, 6, False),
     ],
-    ids=["pg24_t1", "pg24_t2", "pg24_t1_budget", "pg24_t2_budget"],
+    ids=["pg24_t1", "pg24_t2", "pg216_t16", "pg24_t1_budget", "pg216_t16_budget",
+         "pg216_t16_budget_last_tail", "pg24_t2_budget"],
 )
 def test_search_tree_is_pinned(p, k, t, budget, nodes, found, complete):
-    """Bushy trees whose size has no closed form, counted by the
-    step-by-step oracle; the node count also catches a weakened prune that
-    still finds the same sets.  t=1 is searched directly, t=2 on the
-    complement side."""
+    """Trees counted by the step-by-step oracle; the node count also catches
+    a weakened prune that still finds the same sets.  The bushy trees have
+    no closed form: t=1 is searched directly, t=2 on the complement side.
+    PG(2,16) at t=16 searches single points, 2N+1 nodes; a budget of 300
+    stops after 150 of them, and one of 2N inside the last forced tail,
+    before the cut that ends it, with every set found."""
     result = exhaustive_extremal_search(
         SearchTask(support.desarguesian(p, k), t, node_budget=budget)
     )
@@ -153,60 +159,74 @@ def test_plane_minus_point_search_takes_2n_plus_1_nodes(p, k, relabel):
     assert _indices(stopped) == _indices(full)
 
 
-def _side(plane, t):
+def _side(plane, t, other=False):
     """The (m, lo, hi) the program searches for t: the sets of the bound's
     size m meeting every line in t to b+1 points, or, when they hold more
     than half the points, their complements, meeting every line in n-b to
-    n+1-t points."""
+    n+1-t points.  With ``other``, the side the program does not search."""
     bv = max_size_bound(plane.order, t)
     n, N, m, b = plane.order, plane.num_points, bv.bound, bv.b
-    return (N - m, n - b, n + 1 - t) if 2 * m > N else (m, t, b + 1)
+    return (N - m, n - b, n + 1 - t) if (2 * m > N) != other else (m, t, b + 1)
 
 
-def _both_searches(plane, t, budget):
+def _both_searches(plane, t, budget, other=False):
     """(leaf masks, nodes, complete) of the search and of its step-by-step
-    oracle, at one budget, on the side the program searches."""
-    return [search._pruned_search(plane, *_side(plane, t), budget), _by_steps(plane, t, budget)]
+    oracle, at one budget, on the side the program searches (or, with
+    ``other``, the other side)."""
+    return [search._pruned_search(plane, *_side(plane, t, other), budget),
+            _by_steps(plane, t, budget, other)]
 
 
 @functools.lru_cache(maxsize=None)
-def _by_steps(plane, t, budget):
+def _by_steps(plane, t, budget, other=False):
     """(leaf masks, nodes, complete) of the step-by-step oracle, which no
     setting of the search changes, so each is computed once per session."""
-    return support.pruned_search_by_steps(plane, *_side(plane, t), budget)
+    return support.pruned_search_by_steps(plane, *_side(plane, t, other), budget)
 
 
+# The oracle is compared on both sides of each t.  "every_tail" is the side
+# the program searches, so every tree and forced tail it walks is checked;
+# "long_tails" is the other side, which at t = q holds the N-1 point sets
+# themselves: a tree of forced tails up to N points long, each walked to its
+# leaf with its exclude branches cut one by one.
+SIDES = pytest.mark.parametrize("other", [False, True], ids=["every_tail", "long_tails"])
+
+
+@SIDES
 @pytest.mark.parametrize("seed", [None, 1, 2], ids=["canonical", "relabelled1", "relabelled2"])
 @pytest.mark.parametrize("p, k", [(2, 1), (3, 1)], ids=["pg22", "pg23"])
-def test_search_matches_step_by_step_on_every_budget(p, k, seed):
+def test_search_matches_step_by_step_on_every_budget(p, k, seed, other):
     plane = support.desarguesian(p, k)
     if seed is not None:
         plane = _relabelled(plane, seed)
     ts = [t for t in range(1, plane.order + 1) if max_size_bound(plane.order, t).attainable]
     assert ts
     for t in ts:
-        new, old = _both_searches(plane, t, DEFAULT_NODE_BUDGET)
+        new, old = _both_searches(plane, t, DEFAULT_NODE_BUDGET, other)
         assert new == old and new[2]
         for budget in range(1, new[1] + 2):
-            new, old = _both_searches(plane, t, budget)
+            new, old = _both_searches(plane, t, budget, other)
             assert new == old, (t, budget)
 
 
+@SIDES
 @pytest.mark.parametrize(
     "k, t, budgets",
     [
-        (2, 1, [1, 2, 50, 108, 214, 215, 4999, 5000, 77777, 103050, 103055, 103056,
-                103057]),
-        (2, 2, [*range(1, 301), 28040, 50130, 60000, 60844, 60845, 60846]),
-        (2, 4, list(range(1, 45))),
-        (4, 16, [1, 2, 272, 273, 274, 545, 546, 547, 548]),
+        (2, 1, [1, 2, 50, 108, 214, 215, 4999, 5000, 77777, 96056, 96057, 96058, 103050,
+                103055, 103056, 103057]),
+        (2, 2, [*range(1, 301), 28040, 50130, 60000, 60844, 60845, 60846, 90808, 90809,
+                90810]),
+        (2, 4, [*range(1, 45), 233, 250, 251, 252]),
+        (4, 16, [1, 2, 272, 273, 274, 545, 546, 547, 548, 1000, 20000, 37400, 37672, 37673,
+                 37674]),
     ],
     ids=["pg24_t1", "pg24_t2", "pg24_t4", "pg216_t16"],
 )
-def test_search_matches_step_by_step_on_sampled_budgets(k, t, budgets):
+def test_search_matches_step_by_step_on_sampled_budgets(k, t, budgets, other):
     plane = support.desarguesian(2, k)
     for budget in budgets:
-        new, old = _both_searches(plane, t, budget)
+        new, old = _both_searches(plane, t, budget, other)
         assert new == old, budget
 
 
