@@ -32,8 +32,7 @@ from .families import (
     plane_minus_point,
     save_point_set,
 )
-from .gf import FieldSpec
-from .plane import build_desarguesian_plane, check_plane_cap, load_plane, save_plane
+from .plane import build_desarguesian_plane, load_plane, save_plane
 from .search import (
     DEFAULT_NODE_BUDGET,
     SearchTask,
@@ -173,14 +172,12 @@ def _cmd_candidates(args) -> int:
 def _cmd_construct(args) -> int:
     if args.point is not None and args.family != "minus-point":
         raise ValueError(f"--point applies to minus-point only, not {args.family}")
-    check_plane_cap(args.q)
-    pp = PrimePower.from_order(args.q)
-    if args.family != "minus-point" and pp.k % 2:
+    plane = build_desarguesian_plane(args.q)
+    if args.family != "minus-point" and plane.field.k % 2:
         raise ValueError(
             f"{args.q} is not a square; the {args.family} family "
             "lives in planes of square order"
         )
-    plane = build_desarguesian_plane(FieldSpec(pp.p, pp.k))
     if args.family == "unital":
         ps = hermitian_unital(plane)
     elif args.family == "baer":
@@ -240,8 +237,10 @@ def _cmd_search(args) -> int:
     result = exhaustive_extremal_search(SearchTask(plane, args.t, node_budget=args.budget))
     if args.output:
         os.makedirs(args.output, exist_ok=True)
+        # as wide as the last index, so sorting by name keeps the sets' order
+        width = max(4, len(str(len(result.sets) - 1)))
         for idx, ps in enumerate(result.sets):
-            save_point_set(ps, os.path.join(args.output, f"set_{idx:04d}.txt"))
+            save_point_set(ps, os.path.join(args.output, f"set_{idx:0{width}d}.txt"))
     print(json.dumps(result.summary()))
     return EXIT_OK
 
@@ -249,8 +248,7 @@ def _cmd_search(args) -> int:
 def _cmd_certify(args) -> int:
     if not 2 <= args.q <= 4:
         raise ValueError("certification is desk-scale only, q must be 2, 3, or 4")
-    pp = PrimePower.from_order(args.q)
-    plane = build_desarguesian_plane(FieldSpec(pp.p, pp.k))
+    plane = build_desarguesian_plane(args.q)
     report = certify_no_other_t(plane, node_budget=args.budget)
     if args.json:
         print(json.dumps(report.as_dict()))

@@ -14,7 +14,7 @@ import re
 from functools import cached_property
 from operator import getitem
 
-from .gf import FieldElement, FieldSpec
+from .gf import FieldElement, FieldSpec, PrimePower
 
 MAX_PLANE_FIELD_ORDER = 128
 _UNDECODED_BYTE = re.compile("[\udc80-\udcff]")
@@ -67,7 +67,6 @@ class IncidencePlane:
     def _fill(self, order, lines, fieldspec, point_coords) -> None:
         self.order = order
         self.num_points = order * order + order + 1
-        self.num_lines = self.num_points if lines is None else len(lines)
         if lines is not None:
             self.lines = lines
         self.field = fieldspec
@@ -117,26 +116,23 @@ class IncidencePlane:
         return f"IncidencePlane(order={self.order}, {kind})"
 
 
-def check_plane_cap(q: int) -> None:
-    """Raise ValueError if PG(2, q) is over the plane cap; q may be any integer."""
-    if q > MAX_PLANE_FIELD_ORDER:
-        raise ValueError(f"field order {q} exceeds plane cap {MAX_PLANE_FIELD_ORDER}")
-
-
-def build_desarguesian_plane(spec: FieldSpec) -> IncidencePlane:
-    """Construct PG(2, q) over the given field.
+def build_desarguesian_plane(q: int) -> IncidencePlane:
+    """Construct PG(2, q) over ``FieldSpec(p, k)``, q = p^k; a q above the
+    plane cap is refused before it is factored.
 
     Points are normalized homogeneous triples (first nonzero coordinate 1)
     of element indices, numbered in lexicographic order of the triples:
     (0:0:1) is point 0, (0:1:z) is point 1+z and (1:y:z) is point
     1+q+q*y+z.  Line j is the dual triple [a:b:c] of point j, incident with
-    (x:y:z) exactly when ax + by + cz = 0, so two builds of the same field
+    (x:y:z) exactly when ax + by + cz = 0, so two builds of the same order
     yield identical structures.  The plane holds the point triples; its
     lines are made from the field tables when they are first read (to be
     written, searched or verified).
     """
-    q = spec.order
-    check_plane_cap(q)
+    if q > MAX_PLANE_FIELD_ORDER:
+        raise ValueError(f"field order {q} exceeds plane cap {MAX_PLANE_FIELD_ORDER}")
+    pp = PrimePower.from_order(q)
+    spec = FieldSpec(pp.p, pp.k)
     one = spec.one
     triples = [(0, 0, one)]
     triples.extend((0, one, z) for z in range(q))
@@ -192,8 +188,8 @@ def verify_plane_axioms(plane: IncidencePlane) -> str | None:
     """
     n = plane.order
     expected = n * n + n + 1
-    if plane.num_lines != expected:
-        return f"line count {plane.num_lines} != n^2+n+1 = {expected}"
+    if len(plane.lines) != expected:
+        return f"line count {len(plane.lines)} != n^2+n+1 = {expected}"
     for j, pts in enumerate(plane.lines):
         if len(pts) != n + 1:
             return f"line {j} cardinality {len(pts)} != n+1 = {n + 1}"

@@ -126,13 +126,13 @@ def _pruned_search(plane, m, lo, hi, budget):
     field so that its top bit is set exactly when its line is over (or
     short), and the test reads the top bits.
     """
-    num_points, num_lines = plane.num_points, plane.num_lines
+    num_points = plane.num_points
     fmt = _field_format(plane.order)
     field_bytes = struct.calcsize(fmt)
     top = 1 << (8 * field_bytes - 1)
     # fields are in native byte order, which keeps each one whole; every
     # check treats all fields alike, so where each one sits does not matter
-    high_bytes = top.to_bytes(field_bytes, sys.byteorder) * num_lines
+    high_bytes = top.to_bytes(field_bytes, sys.byteorder) * len(plane.lines)
     high = int.from_bytes(high_bytes, sys.byteorder)
     unit = high // top  # one in every field
     over = unit * (top - hi - 1)  # top bit set: the line holds hi+1 points

@@ -46,7 +46,7 @@ def desarguesian(p: int, k: int):
     """Cached PG(2, p^k); planes are immutable so sharing is safe."""
     q = p**k
     if q not in _plane_cache:
-        _plane_cache[q] = build_desarguesian_plane(field(p, k))
+        _plane_cache[q] = build_desarguesian_plane(q)
     return _plane_cache[q]
 
 
@@ -346,7 +346,7 @@ def pruned_search_by_steps(plane, m, lo, hi, budget):
         last = len(pts) - 1
         for rank, i in enumerate(pts):
             after[i].append(last - rank)
-    counts = [0] * plane.num_lines
+    counts = [0] * len(plane.lines)
     leaves = []
     nodes = 0
     stack = [(0, 0, 0, None)]

@@ -7,6 +7,7 @@ import support
 from blocksets import FieldSpec, PrimePower, load_point_set, save_plane, save_point_set
 from blocksets.cli import _build_parser, main
 from blocksets.families import PointSet
+from blocksets.search import SearchResult
 
 
 def run(capsys, *argv):
@@ -324,6 +325,27 @@ def test_search_refuses_a_file_as_output_before_searching(
     assert out == ""
     assert err.startswith("error:") and "not a directory" in err
     assert target.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("count,width", [(10000, 4), (10001, 5)])
+def test_search_output_names_sort_in_the_sets_order(
+    plane_files, tmp_path, capsys, monkeypatch, count, width
+):
+    plane = support.desarguesian(2, 2)
+    sets = [PointSet(plane, idx + 1) for idx in range(count)]
+
+    def many_sets(task):
+        return SearchResult(task.t, 14, sets, count, 0.0, True, {})
+
+    monkeypatch.setattr("blocksets.cli.exhaustive_extremal_search", many_sets)
+    out_dir = tmp_path / "found"
+    code, _, _ = run(capsys, "search", "--plane", plane_files["pg24"], "--t", "2",
+                     "--output", str(out_dir))
+    assert code == 0
+    names = sorted(f.name for f in out_dir.iterdir())
+    assert names == [f"set_{idx:0{width}d}.txt" for idx in range(count)]
+    for idx in (0, 9999, count - 1):
+        assert load_point_set(out_dir / names[idx], plane).mask == idx + 1
 
 
 def test_search_unattainable_summary(tmp_path, capsys):

@@ -7,8 +7,10 @@ import pytest
 
 import support
 from blocksets import (
+    FieldSpec,
     IncidencePlane,
     PlaneFormatError,
+    PrimePower,
     SearchTask,
     baer_complement,
     baer_subplane,
@@ -28,14 +30,14 @@ def test_fano_counts():
     fano = support.desarguesian(2, 1)
     assert fano.order == 2
     assert fano.num_points == 7
-    assert fano.num_lines == 7
+    assert len(fano.lines) == 7
     assert all(len(line) == 3 for line in fano.lines)
 
 
 def test_pg24_counts():
     plane = support.desarguesian(2, 2)
     assert plane.num_points == 21
-    assert plane.num_lines == 21
+    assert len(plane.lines) == 21
     assert all(len(line) == 5 for line in plane.lines)
 
 
@@ -55,8 +57,8 @@ def test_dual_counting():
 
 
 def test_build_is_deterministic():
-    a = build_desarguesian_plane(support.field(2, 2))
-    b = build_desarguesian_plane(support.field(2, 2))
+    a = build_desarguesian_plane(4)
+    b = build_desarguesian_plane(4)
     assert a.lines == b.lines
     assert a.point_coords == b.point_coords
 
@@ -73,8 +75,32 @@ def test_lines_match_tuple_oracle(p, k):
 
 
 def test_field_too_large_rejected():
-    with pytest.raises(ValueError):
-        build_desarguesian_plane(support.field(131, 1))
+    with pytest.raises(ValueError, match=r"^field order 131 exceeds plane cap 128$"):
+        build_desarguesian_plane(131)
+
+
+@pytest.mark.parametrize("q", [2**61 - 1, 1000])
+def test_cap_is_checked_before_the_order_is_factored(monkeypatch, q):
+    def no_factoring(order):
+        raise AssertionError(f"factored {order} although it is over the cap")
+
+    monkeypatch.setattr(PrimePower, "from_order", no_factoring)
+    with pytest.raises(ValueError, match=f"^field order {q} exceeds plane cap 128$"):
+        build_desarguesian_plane(q)
+
+
+@pytest.mark.parametrize("q", [6, 1, 0, -5])
+def test_order_that_is_not_a_prime_power_rejected(q):
+    with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
+        build_desarguesian_plane(q)
+
+
+@pytest.mark.parametrize("q,p,k", [(2, 2, 1), (4, 2, 2), (27, 3, 3), (128, 2, 7)])
+def test_plane_is_built_over_the_canonical_field_of_its_order(q, p, k):
+    plane = build_desarguesian_plane(q)
+    assert plane.order == q
+    assert plane.field == FieldSpec(p, k)
+    assert "lines" not in vars(plane)
 
 
 def test_lines_through_point():
@@ -436,7 +462,7 @@ _INDICES = ("_incidence", "line_masks", "point_lines")
 
 
 def test_construct_path_computes_no_incidence_index(tmp_path):
-    plane = build_desarguesian_plane(support.field(3, 2))
+    plane = build_desarguesian_plane(9)
     hermitian_unital(plane)
     baer_complement(plane)
     save_plane(plane, tmp_path / "pg29.txt")
@@ -445,7 +471,7 @@ def test_construct_path_computes_no_incidence_index(tmp_path):
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
 def test_incidence_indices_match_eager_oracle(p, k):
-    plane = build_desarguesian_plane(support.field(p, k))
+    plane = build_desarguesian_plane(p**k)
     masks, through = support.incidence_by_lines(plane)
     assert plane.point_lines == through
     assert plane.line_masks == masks
@@ -489,11 +515,11 @@ def test_construct_minus_point_64_memory_peak(tmp_path):
 
 
 def test_families_leave_built_lines_uncomputed():
-    plane = build_desarguesian_plane(support.field(3, 2))
+    plane = build_desarguesian_plane(9)
     for ps in (hermitian_unital(plane), baer_subplane(plane), baer_complement(plane),
                plane_minus_point(plane, 7)):
         format_point_set(ps)
-    assert plane.num_lines == plane.num_points == 91
+    assert plane.num_points == 91
     assert "lines" not in vars(plane)
 
 
@@ -508,7 +534,7 @@ def test_families_leave_built_lines_uncomputed():
     ids=["save_plane", "line_masks", "point_lines", "search"],
 )
 def test_readers_compute_built_lines(tmp_path, read):
-    plane = build_desarguesian_plane(support.field(2, 2))
+    plane = build_desarguesian_plane(4)
     assert "lines" not in vars(plane)
     read(plane, tmp_path / "pg24.txt")
     assert plane.lines is vars(plane)["lines"]
