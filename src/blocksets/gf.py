@@ -2,14 +2,16 @@
 
 An element is an ``int``: the position of its coefficient vector over Z_p
 in the polynomial basis, vectors ordered lexicographically from the
-constant term, so 0 is zero and p^(k-1) is one.  Arithmetic is table
-lookup (``FieldSpec.int_tables``); on first use, addition is tabulated
+constant term, so 0 is zero and p^(k-1) is one.  Arithmetic is lookup in
+tables of order^2 entries (``FieldSpec.int_tables``), so ``FieldSpec(p, k)``
+refuses p^k above MAX_TABLE_ORDER; on first use, addition is tabulated
 digit by digit and multiplication from exp/log tables of a generator, whose
-powers are the only other place polynomials are multiplied.  The reduction modulus is the lexicographically
-smallest monic irreducible polynomial of degree k (coefficients compared
-from the constant term upward), which ``FieldSpec(p, k)`` finds itself with
-Ben-Or's irreducibility test: one canonical model of GF(p^k) per (p, k), so
-every downstream construction is reproducible across runs.
+powers are the only other place polynomials are multiplied.  The reduction
+modulus is the lexicographically smallest monic irreducible polynomial of
+degree k (coefficients compared from the constant term upward), which
+``FieldSpec(p, k)`` finds itself by trial division: one canonical model of
+GF(p^k) per (p, k), so every downstream construction is reproducible across
+runs.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from typing import NamedTuple
 
 FieldElement = int
 
-MAX_EXTENSION_DEGREE = 16
-MAX_CHARACTERISTIC = 2**31
 MAX_TABLE_ORDER = 1024
 
 
@@ -121,27 +121,13 @@ def _mul_mod(a, b, mod, p):
 
 
 def _is_irreducible(poly, p) -> bool:
-    """Ben-Or's test of a monic polynomial of degree k: no factor of degree
-    i <= k/2, i.e. gcd(poly, x^(p^i) - x) = 1 for i = 1 .. k/2."""
+    """No monic polynomial of degree 1 .. k/2 divides poly, of degree k."""
     k = len(poly) - 1
-    xpow = [0, 1]  # x^(p^i) mod poly
-    for _ in range(k // 2):
-        base, e, xpow = xpow, p, [1]
-        while e:
-            if e & 1:
-                xpow = _mul_mod(xpow, base, poly, p)
-            base = _mul_mod(base, base, poly, p)
-            e >>= 1
-        a, b = list(poly), [c % p for c in xpow]
-        b[1] = (b[1] - 1) % p
-        while any(b):  # Euclid's algorithm, each divisor made monic
-            while not b[-1]:
-                b.pop()
-            lead = pow(b[-1], -1, p)
-            a, b = b, _poly_rem(a, [c * lead % p for c in b], p)
-        if len(a) > 1:
-            return False
-    return True
+    return all(
+        any(_poly_rem(poly, (*_decode_lex(m, p, d), 1), p))
+        for d in range(1, k // 2 + 1)
+        for m in range(p**d)
+    )
 
 
 class FieldTables(NamedTuple):
@@ -157,20 +143,18 @@ class FieldSpec:
     """Arithmetic context for GF(p^k) under its canonical modulus, which
     the constructor finds from p and k alone (see the module doc).
 
-    The degree range and the characteristic cap are checked first, so a p
-    above the cap is refused before the trial-division primality test,
-    which ``PrimePower`` then runs on p.
+    The table cap is checked first, without computing a large power, so an
+    order above it is refused before ``PrimePower`` tests p for primality.
 
     An element is its index (an ``int`` in ``range(order)``); every operation
     is a lookup in tables built on first use (see ``int_tables``).
     """
 
     def __init__(self, p: int, k: int):
-        if not 1 <= k <= MAX_EXTENSION_DEGREE:
-            raise ValueError(f"extension degree must be in 1..{MAX_EXTENSION_DEGREE}")
-        if p > MAX_CHARACTERISTIC:
-            raise ValueError("characteristic too large")
-        self.prime_power = PrimePower(p**k, p, k)
+        # p >= 2 and k >= 11 already exceed the cap, so p**k stays small
+        if k >= MAX_TABLE_ORDER.bit_length() or p > MAX_TABLE_ORDER or p**k > MAX_TABLE_ORDER:
+            raise ValueError(f"field order {p}^{k} exceeds table cap {MAX_TABLE_ORDER}")
+        PrimePower(p**k, p, k)  # raises unless p is prime and k >= 1
         self.p = p
         self.k = k
         self.order = p**k
@@ -184,10 +168,10 @@ class FieldSpec:
         self._tables: FieldTables | None = None
 
     def __eq__(self, other):
-        return isinstance(other, FieldSpec) and self.prime_power == other.prime_power
+        return isinstance(other, FieldSpec) and (self.p, self.k) == (other.p, other.k)
 
     def __hash__(self):
-        return hash(self.prime_power)
+        return hash((self.p, self.k))
 
     def __repr__(self):
         return f"FieldSpec(GF({self.order}), modulus={list(self.modulus)})"
@@ -206,15 +190,8 @@ class FieldSpec:
         ``add`` digit by digit, ``mul`` and ``inv`` from the powers of the
         first element (in index order) that generates the multiplicative
         group, so mul[a][b] = g^(log a + log b).
-
-        Each table has order^2 entries, so a field whose order exceeds
-        MAX_TABLE_ORDER can be made but has no arithmetic.
         """
         if self._tables is None:
-            if self.order > MAX_TABLE_ORDER:
-                raise ValueError(
-                    f"field order {self.order} exceeds table cap {MAX_TABLE_ORDER}"
-                )
             p, k, q, one = self.p, self.k, self.order, self.one
             # add digit by digit: an index's base-p digits are its coefficients
             if p == 2:
