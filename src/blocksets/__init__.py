@@ -37,7 +37,7 @@ from .families import (
     plane_minus_point,
     save_point_set,
 )
-from .gf import FieldElement, FieldSpec, PrimePower, is_prime
+from .gf import FieldElement, FieldSpec, prime_power
 from .plane import (
     IncidencePlane,
     PlaneFormatError,
@@ -68,7 +68,6 @@ __all__ = [
     "IncidencePlane",
     "PlaneFormatError",
     "PointSet",
-    "PrimePower",
     "SearchResult",
     "SearchTask",
     "Spectrum",
@@ -84,12 +83,12 @@ __all__ = [
     "equality_candidates",
     "exhaustive_extremal_search",
     "hermitian_unital",
-    "is_prime",
     "is_two_valued",
     "load_plane",
     "load_point_set",
     "max_size_bound",
     "plane_minus_point",
+    "prime_power",
     "save_plane",
     "save_point_set",
     "spectrum",

@@ -17,7 +17,6 @@ import sys
 
 from . import blocking
 from .extremal import (
-    PrimePower,
     case_trace,
     classify_prime_power,
     equality_candidates,
@@ -32,6 +31,7 @@ from .families import (
     plane_minus_point,
     save_point_set,
 )
+from .gf import prime_power
 from .plane import build_desarguesian_plane, load_plane, save_plane
 from .search import (
     DEFAULT_NODE_BUDGET,
@@ -147,6 +147,9 @@ def _print_rows(rows: list[dict], as_json: bool) -> None:
 
 
 def _cmd_classify(args) -> int:
+    # 'candidates' refuses these too, so the hint below would not help
+    if args.q < 2:
+        raise ValueError("order must be at least 2")
     try:
         entries = classify_prime_power(args.q)
     except ValueError:
@@ -160,12 +163,12 @@ def _cmd_classify(args) -> int:
 
 def _cmd_candidates(args) -> int:
     params = equality_candidates(args.n)
-    prime_power = True
+    classified = True
     try:
-        PrimePower.from_order(args.n)
+        prime_power(args.n)
     except ValueError:
-        prime_power = False
-    _print_rows(_case_rows(args.n, params, prime_power), args.json)
+        classified = False
+    _print_rows(_case_rows(args.n, params, classified), args.json)
     return EXIT_OK
 
 
@@ -260,7 +263,7 @@ def _cmd_certify(args) -> int:
                 f"complete={_bool(row['complete'])} families={fams} "
                 f"expected={row['expected_family'] or '-'}"
             )
-        print(f"matches_theory={_bool(bool(report.matches_theory))}")
+        print(f"matches_theory={_bool(report.matches_theory)}")
     return EXIT_OK if report.matches_theory else EXIT_VERIFY_FAILED
 
 

@@ -14,7 +14,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from .families import FamilyLabel
-from .gf import PrimePower
+from .gf import prime_power
 
 
 @dataclass(frozen=True)
@@ -111,13 +111,13 @@ def classify_prime_power(q: int) -> list[ExtremalValue]:
     b = q - 1).  Implemented from the classification theorem directly, not
     by search; equality_candidates is the independent cross-check.
     """
-    pp = PrimePower.from_order(q)
+    _, k = prime_power(q)
     entries = []
-    if pp.k % 2 == 0:
-        r = isqrt(pp.q)
+    if k % 2 == 0:
+        r = isqrt(q)
         entries.append(ExtremalValue(1, r, FamilyLabel.UNITAL))
-        entries.append(ExtremalValue(pp.q - r, pp.q - 1, FamilyLabel.BAER_COMPLEMENT))
-    entries.append(ExtremalValue(pp.q, pp.q, FamilyLabel.PLANE_MINUS_POINT))
+        entries.append(ExtremalValue(q - r, q - 1, FamilyLabel.BAER_COMPLEMENT))
+    entries.append(ExtremalValue(q, q, FamilyLabel.PLANE_MINUS_POINT))
     entries.sort(key=lambda e: e.t)
     return entries
 
@@ -158,8 +158,7 @@ class CaseTrace:
 
 def case_trace(q: int, t: int, b: int) -> CaseTrace:
     """Trace which case of the classification a solution (q, t, b) lands in."""
-    pp = PrimePower.from_order(q)
-    p = pp.p
+    p, k = prime_power(q)
     EqualityParams(q, t, b)  # raises unless both equality conditions hold
 
     d = b - t + 1
@@ -210,7 +209,7 @@ def case_trace(q: int, t: int, b: int) -> CaseTrace:
     return CaseTrace(
         q=q,
         p=p,
-        k=pp.k,
+        k=k,
         t=t,
         b=b,
         alpha=alpha,

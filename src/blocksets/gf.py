@@ -11,12 +11,12 @@ modulus is the lexicographically smallest monic irreducible polynomial of
 degree k (coefficients compared from the constant term upward), which
 ``FieldSpec(p, k)`` finds itself by trial division: one canonical model of
 GF(p^k) per (p, k), so every downstream construction is reproducible across
-runs.
+runs.  ``prime_power(q)`` is the one place an order is split into p^k or a
+number is tested for primality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 FieldElement = int
@@ -24,58 +24,26 @@ FieldElement = int
 MAX_TABLE_ORDER = 1024
 
 
-def is_prime(m: int) -> bool:
-    """Trial-division primality test, adequate for desk-scale inputs."""
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
-
-
-@dataclass(frozen=True)
-class PrimePower:
-    """An order q = p^k with p prime and k >= 1."""
-
-    q: int
-    p: int
-    k: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.k < 1:
-            raise ValueError("exponent must be at least 1")
-        if self.p**self.k != self.q:
-            raise ValueError(f"{self.q} != {self.p}^{self.k}")
-
-    @classmethod
-    def from_order(cls, q: int) -> "PrimePower":
-        """Factor q as p^k, raising ValueError when q is not a prime power."""
-        if q < 2:
-            raise ValueError(f"{q} is not a prime power")
-        p = q
-        f = 2
-        while f * f <= q:
-            if q % f == 0:
-                p = f
-                break
-            f += 1
-        k = 0
-        m = q
-        while m % p == 0:
-            m //= p
-            k += 1
-        if m != 1:
-            raise ValueError(f"{q} is not a prime power")
-        return cls(q, p, k)
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k and p prime, raising ValueError when q is not a
+    prime power.  p is the smallest factor of q above 1, so it is prime."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    p = q
+    f = 2
+    while f * f <= q:
+        if q % f == 0:
+            p = f
+            break
+        f += 1
+    k = 0
+    m = q
+    while m % p == 0:
+        m //= p
+        k += 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, k
 
 
 def _poly_mul(a, b, p):
@@ -144,7 +112,7 @@ class FieldSpec:
     the constructor finds from p and k alone (see the module doc).
 
     The table cap is checked first, without computing a large power, so an
-    order above it is refused before ``PrimePower`` tests p for primality.
+    order above it is refused before ``prime_power`` tests p for primality.
 
     An element is its index (an ``int`` in ``range(order)``); every operation
     is a lookup in tables built on first use (see ``int_tables``).
@@ -154,7 +122,10 @@ class FieldSpec:
         # p >= 2 and k >= 11 already exceed the cap, so p**k stays small
         if k >= MAX_TABLE_ORDER.bit_length() or p > MAX_TABLE_ORDER or p**k > MAX_TABLE_ORDER:
             raise ValueError(f"field order {p}^{k} exceeds table cap {MAX_TABLE_ORDER}")
-        PrimePower(p**k, p, k)  # raises unless p is prime and k >= 1
+        if p < 2 or prime_power(p) != (p, 1):
+            raise ValueError(f"{p} is not prime")
+        if k < 1:
+            raise ValueError("exponent must be at least 1")
         self.p = p
         self.k = k
         self.order = p**k
@@ -194,16 +165,13 @@ class FieldSpec:
         if self._tables is None:
             p, k, q, one = self.p, self.k, self.order, self.one
             # add digit by digit: an index's base-p digits are its coefficients
-            if p == 2:
-                add = [[a ^ b for b in range(q)] for a in range(q)]
-            else:
-                add = []
-                for a in range(q):
-                    row = [0]
-                    for d in _decode_lex(a, p, k):
-                        shifted = [(d + y) % p for y in range(p)]
-                        row = [r * p + s for r in row for s in shifted]
-                    add.append(row)
+            add = []
+            for a in range(q):
+                row = [0]
+                for d in _decode_lex(a, p, k):
+                    shifted = [(d + y) % p for y in range(p)]
+                    row = [r * p + s for r in row for s in shifted]
+                add.append(row)
             # exp[i] = g^i for the first g of multiplicative order q - 1
             for g in range(1, q):
                 gv = v = _decode_lex(g, p, k)

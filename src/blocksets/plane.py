@@ -14,7 +14,7 @@ import re
 from functools import cached_property
 from operator import getitem
 
-from .gf import FieldElement, FieldSpec, PrimePower
+from .gf import FieldElement, FieldSpec, prime_power
 
 MAX_PLANE_FIELD_ORDER = 128
 _UNDECODED_BYTE = re.compile("[\udc80-\udcff]")
@@ -131,8 +131,7 @@ def build_desarguesian_plane(q: int) -> IncidencePlane:
     """
     if q > MAX_PLANE_FIELD_ORDER:
         raise ValueError(f"field order {q} exceeds plane cap {MAX_PLANE_FIELD_ORDER}")
-    pp = PrimePower.from_order(q)
-    spec = FieldSpec(pp.p, pp.k)
+    spec = FieldSpec(*prime_power(q))
     one = spec.one
     triples = [(0, 0, one)]
     triples.extend((0, one, z) for z in range(q))

@@ -260,18 +260,17 @@ class CertifyReport:
 
     order: int
     entries: list[SearchResult]
-    expected: dict[int, str] | None  # t -> predicted family name
-    matches_theory: bool | None
+    expected: dict[int, str]  # t -> predicted family name
+    matches_theory: bool
 
     def as_dict(self):
-        names = self.expected or {}
         return {
             "order": self.order,
-            "expected_t": sorted(self.expected) if self.expected is not None else None,
+            "expected_t": sorted(self.expected),
             # summary() sets "t" again, which keeps its first place
             "results": [
                 {"t": e.t, "attainable": e.attainable, **e.summary(),
-                 "expected_family": names.get(e.t)}
+                 "expected_family": self.expected.get(e.t)}
                 for e in self.entries
             ],
             "matches_theory": self.matches_theory,
@@ -287,24 +286,18 @@ def certify_no_other_t(
     complete, where the bound is not attainable.  matches_theory is True
     only when every search ran to exhaustion and its family tally is
     {predicted label: found} at a predicted t and empty at every other t.
-    For planes of non-prime-power order there is no prediction and
-    matches_theory is None.
+    A plane whose order is not a prime power has no prediction, so
+    ``classify_prime_power``'s ValueError is raised before any search.
     """
     n = plane.order
-    expected: dict[int, str] | None
-    try:
-        expected = {e.t: e.family.value for e in classify_prime_power(n)}
-    except ValueError:
-        expected = None
+    expected = {e.t: e.family.value for e in classify_prime_power(n)}
     entries = [
         exhaustive_extremal_search(SearchTask(plane, t, node_budget=node_budget))
         for t in range(1, n + 1)
     ]
-    matches = None
-    if expected is not None:
-        matches = all(
-            e.complete
-            and e.families == ({expected[e.t]: e.found} if e.t in expected else {})
-            for e in entries
-        )
+    matches = all(
+        e.complete
+        and e.families == ({expected[e.t]: e.found} if e.t in expected else {})
+        for e in entries
+    )
     return CertifyReport(n, entries, expected, matches)

@@ -20,11 +20,11 @@ tree walked with a list of line counts in place of packed integers.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 from blocksets import (
     FieldSpec,
     PointSet,
-    PrimePower,
     build_desarguesian_plane,
     is_two_valued,
     max_size_bound,
@@ -394,28 +394,35 @@ def equality_solutions_by_enumeration(n):
     return out
 
 
-def is_prime_power_by_factoring(q):
-    """Full factorization check, independent of PrimePower.from_order."""
-    if q < 2:
-        return False
-    factors = set()
+def factorization(q):
+    """{prime: exponent} of q >= 1 by full trial division, independent of
+    ``gf.prime_power``, which stops at the smallest factor."""
+    out = {}
     m = q
     f = 2
     while f * f <= m:
         while m % f == 0:
-            factors.add(f)
+            out[f] = out.get(f, 0) + 1
             m //= f
         f += 1
     if m > 1:
-        factors.add(m)
-    return len(factors) == 1
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+class PrimePowerOrder(NamedTuple):
+    """An order q = p^k with p prime, as the tests enumerate them."""
+
+    q: int
+    p: int
+    k: int
 
 
 def prime_powers_up_to(limit):
-    """Every prime power q with 2 <= q <= limit, found by factoring, as a
-    PrimePower in increasing order."""
+    """Every prime power q with 2 <= q <= limit, found by factoring, in
+    increasing order."""
     return [
-        PrimePower.from_order(q)
+        PrimePowerOrder(q, *f.popitem())
         for q in range(2, limit + 1)
-        if is_prime_power_by_factoring(q)
+        if len(f := factorization(q)) == 1
     ]

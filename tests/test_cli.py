@@ -4,7 +4,8 @@ import pathlib
 import pytest
 
 import support
-from blocksets import FieldSpec, PrimePower, load_point_set, save_plane, save_point_set
+import blocksets.plane
+from blocksets import FieldSpec, load_point_set, save_plane, save_point_set
 from blocksets.cli import _build_parser, main
 from blocksets.families import PointSet
 from blocksets.search import SearchResult
@@ -68,6 +69,13 @@ def test_classify_non_prime_power_points_to_candidates(capsys):
     code, _, err = run(capsys, "classify", "6")
     assert code == 2
     assert "candidates" in err
+
+
+@pytest.mark.parametrize("q", ["1", "0", "-4"])
+def test_classify_below_2_is_refused_as_candidates_refuses_it(capsys, q):
+    refused = (2, "", "error: order must be at least 2\n")
+    assert run(capsys, "classify", q) == refused
+    assert run(capsys, "candidates", q) == refused
 
 
 def test_candidates_text(capsys):
@@ -140,7 +148,7 @@ def test_construct_over_plane_cap_builds_no_table(capsys, monkeypatch, family, q
         raise AssertionError(f"{order} factored")
 
     monkeypatch.setattr(FieldSpec, "int_tables", no_tables)
-    monkeypatch.setattr(PrimePower, "from_order", no_factoring)
+    monkeypatch.setattr(blocksets.plane, "prime_power", no_factoring)
     code, out, err = run(capsys, "construct", family, q)
     assert code == 2
     assert out == ""

@@ -6,13 +6,13 @@ import support
 from blocksets import (
     EqualityParams,
     FamilyLabel,
-    PrimePower,
     case_trace,
     check_dagger,
     check_star,
     classify_prime_power,
     equality_candidates,
     max_size_bound,
+    prime_power,
 )
 
 
@@ -194,13 +194,13 @@ def test_specializations():
         assert max_size_bound(n, n).bound == n * n + n
 
 
-def test_from_order_accepts_exactly_the_prime_powers():
+def test_prime_power_accepts_exactly_the_prime_powers():
     got = [pp.q for pp in support.prime_powers_up_to(32)]
     assert got == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
+    factored = {pp.q: (pp.p, pp.k) for pp in support.prime_powers_up_to(1024)}
     for q in range(2, 1025):
-        if support.is_prime_power_by_factoring(q):
-            pp = PrimePower.from_order(q)
-            assert pp.p**pp.k == q
+        if q in factored:
+            assert prime_power(q) == factored[q]
         else:
-            with pytest.raises(ValueError):
-                PrimePower.from_order(q)
+            with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
+                prime_power(q)

@@ -3,39 +3,50 @@ import pytest
 import support
 from blocksets import (
     FieldSpec,
-    PrimePower,
     baer_subplane,
     hermitian_unital,
-    is_prime,
+    prime_power,
 )
 
 # every GF(p^k) with k >= 2 under the table cap
 EXTENSIONS = [
-    (p, k) for p in range(2, 32) if is_prime(p) for k in range(2, 11) if p**k <= 1024
+    (pp.p, pp.k) for pp in support.prime_powers_up_to(1024) if pp.k >= 2
 ]
 
 
 def test_prime_power_factoring():
-    pp = PrimePower.from_order(64)
-    assert (pp.q, pp.p, pp.k) == (64, 2, 6)
-    assert PrimePower.from_order(7) == PrimePower(7, 7, 1)
-    for bad in (1, 6, 12, 100):
-        with pytest.raises(ValueError):
-            PrimePower.from_order(bad)
+    assert prime_power(64) == (2, 6)
+    assert prime_power(7) == (7, 1)
+    assert prime_power(2**31 - 1) == (2**31 - 1, 1)
+    for bad in (1, 0, -4, 6, 12, 100):
+        with pytest.raises(ValueError, match=f"^{bad} is not a prime power$"):
+            prime_power(bad)
 
 
 def test_prime_power_invariants_enforced():
-    with pytest.raises(ValueError):
-        PrimePower(8, 4, 1)
-    with pytest.raises(ValueError):
-        PrimePower(8, 2, 0)
-    with pytest.raises(ValueError):
-        PrimePower(9, 3, 3)
+    # FieldSpec(p, k) refuses a p that is not prime first, then a k below 1
+    for (p, k), text in [((4, 1), "4 is not prime"), ((4, 0), "4 is not prime"),
+                         ((1, 1), "1 is not prime"), ((0, 1), "0 is not prime"),
+                         ((2, 0), "exponent must be at least 1"),
+                         ((2, -1), "exponent must be at least 1")]:
+        with pytest.raises(ValueError) as excinfo:
+            FieldSpec(p, k)
+        assert str(excinfo.value) == text, (p, k)
 
 
-def test_is_prime_small():
-    primes = [p for p in range(60) if is_prime(p)]
+def test_prime_power_small():
+    factored = {}
+    for m in range(-2, 60):
+        try:
+            factored[m] = prime_power(m)
+        except ValueError:
+            pass
+    primes = [m for m, pk in factored.items() if pk == (m, 1)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    assert {m: pk for m, pk in factored.items() if pk[1] > 1} == {
+        4: (2, 2), 8: (2, 3), 9: (3, 2), 16: (2, 4), 25: (5, 2), 27: (3, 3),
+        32: (2, 5), 49: (7, 2),
+    }
 
 
 def test_field_spec_rejects_bad_inputs():
@@ -93,13 +104,13 @@ def test_field_spec_checks_caps_before_primality(monkeypatch):
     import blocksets.gf
 
     tested = []
-    real = blocksets.gf.is_prime
+    real = blocksets.gf.prime_power
 
-    def recording_is_prime(m):
+    def recording_prime_power(m):
         tested.append(m)
         return real(m)
 
-    monkeypatch.setattr(blocksets.gf, "is_prime", recording_is_prime)
+    monkeypatch.setattr(blocksets.gf, "prime_power", recording_prime_power)
     # 2^(10^9) would take 125 MB, so the cap check must not compute it
     for p, k in [(2**61 - 1, 1), (1031, 1), (2, 11), (2, 10**9)]:
         with pytest.raises(ValueError) as excinfo:
@@ -234,8 +245,7 @@ def test_table_arithmetic_matches_tuple_oracle(p, k):
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128])
 def test_int_tables_match_polynomial_oracle(q):
-    pp = PrimePower.from_order(q)
-    f = FieldSpec(pp.p, pp.k)
+    f = FieldSpec(*prime_power(q))
     assert tuple(f.int_tables()) == support.tables_by_polynomials(f)
 
 

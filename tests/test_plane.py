@@ -6,11 +6,11 @@ import tracemalloc
 import pytest
 
 import support
+import blocksets.plane
 from blocksets import (
     FieldSpec,
     IncidencePlane,
     PlaneFormatError,
-    PrimePower,
     SearchTask,
     baer_complement,
     baer_subplane,
@@ -84,7 +84,7 @@ def test_cap_is_checked_before_the_order_is_factored(monkeypatch, q):
     def no_factoring(order):
         raise AssertionError(f"factored {order} although it is over the cap")
 
-    monkeypatch.setattr(PrimePower, "from_order", no_factoring)
+    monkeypatch.setattr(blocksets.plane, "prime_power", no_factoring)
     with pytest.raises(ValueError, match=f"^field order {q} exceeds plane cap 128$"):
         build_desarguesian_plane(q)
 

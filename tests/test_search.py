@@ -50,6 +50,31 @@ def test_results_pass_independent_verifier():
         assert is_two_valued(spectrum(ps), 3, bv.b)
 
 
+@pytest.mark.parametrize(
+    "p, k, t, found, off_set",
+    [(2, 1, 2, 7, 3), (3, 1, 3, 13, 4), (2, 2, 1, 280, 3), (2, 2, 2, 360, 3),
+     (2, 2, 4, 21, 5)],
+    ids=["pg22t2", "pg23t3", "pg24t1", "pg24t2", "pg24t4"],
+)
+def test_found_sets_have_the_papers_t_line_counts(p, k, t, found, off_set):
+    """Every point of an extremal set lies on exactly one t-line, and every
+    point off it on 1 + n/(b+1-t), counted from the lines with Python sets."""
+    plane = support.desarguesian(p, k)
+    n = plane.order
+    b = max_size_bound(n, t).b
+    assert n % (b + 1 - t) == 0
+    assert off_set == 1 + n // (b + 1 - t)
+    result = exhaustive_extremal_search(SearchTask(plane, t))
+    assert result.complete and result.found == found
+    lines = [set(line) for line in plane.lines]
+    for ps in result.sets:
+        members = set(ps.indices())
+        t_lines = [line for line in lines if len(line & members) == t]
+        for x in range(plane.num_points):
+            expected = 1 if x in members else off_set
+            assert sum(x in line for line in t_lines) == expected, (ps.indices(), x)
+
+
 def test_unattainable_bound_is_vacuous():
     fano = support.desarguesian(2, 1)
     result = exhaustive_extremal_search(SearchTask(fano, 1))  # D = 8, no square
@@ -425,6 +450,17 @@ def test_certify_characterizes_found_sets():
     assert entry.families == {FamilyLabel.PLANE_MINUS_POINT.value: 13}
     for ps in entry.sets:
         assert characterize(ps) is FamilyLabel.PLANE_MINUS_POINT
+
+
+def test_certify_refuses_an_order_that_is_not_a_prime_power(monkeypatch):
+    def no_search(task):
+        raise AssertionError(f"searched t={task.t}")
+
+    monkeypatch.setattr(search, "exhaustive_extremal_search", no_search)
+    # 43 lines of 7 consecutive points mod 43: order 6, and not a plane
+    lines = [[(j + i) % 43 for i in range(7)] for j in range(43)]
+    with pytest.raises(ValueError, match="^6 is not a prime power$"):
+        certify_no_other_t(IncidencePlane(6, lines))
 
 
 @pytest.mark.parametrize("k", [1, 2], ids=["pg22", "pg24"])
