@@ -119,8 +119,10 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, k: int):
-        # p >= 2 and k >= 11 already exceed the cap, so p**k stays small
-        if k >= MAX_TABLE_ORDER.bit_length() or p > MAX_TABLE_ORDER or p**k > MAX_TABLE_ORDER:
+        # p >= 2 and k >= 11 already exceed the cap, so p**k stays small; it
+        # is computed only for k >= 1, as 0**k divides by zero below that
+        if (k >= MAX_TABLE_ORDER.bit_length() or p > MAX_TABLE_ORDER
+                or k >= 1 and p**k > MAX_TABLE_ORDER):
             raise ValueError(f"field order {p}^{k} exceeds table cap {MAX_TABLE_ORDER}")
         if p < 2 or prime_power(p) != (p, 1):
             raise ValueError(f"{p} is not prime")

@@ -19,12 +19,13 @@ when the search finished.
 
 The loop keeps the set's count on every line in one integer, a byte per line
 up to order 126 (two bytes above), so that taking a point is one integer
-addition and each prune one addition and one mask test.  Each point has two
-precomputed addends, kept for as many of the last points as TABLE_BYTES
-holds and built on use for the others, so the tables stay small next to the
-plane.  PG(2,4) at t = 1 and 2 (103056 and 60845 nodes) takes about 0.1 s
-each, and PG(2,64) at t = 64 (8323 nodes) about 15-18 s on a 2-core Xeon
-under CPython 3.11, nearly all of it the re-verification of its 4161 sets.
+addition and each prune one addition and one mask test.  Each stack entry
+carries its branch's counts, so nothing is undone.  Each point has one
+precomputed addend, kept for as many of the last points as TABLE_BYTES holds
+and built on use for the others, so the tables stay small next to the plane.
+PG(2,4) at t = 1 and 2 (103056 and 60845 nodes) takes about 0.05 s each, and
+PG(2,64) at t = 64 (8323 nodes) about 7 s on a 2-vCPU Xeon under CPython
+3.11, nearly all of it the re-verification of its 4161 sets.
 """
 
 from __future__ import annotations
@@ -42,14 +43,13 @@ from .families import PointSet, characterize
 from .plane import IncidencePlane
 
 DEFAULT_NODE_BUDGET = 10**9
-# A point's two tables, integers of one field per line, are kept only for
-# the last points, as many as fit in this many bytes; a node at an earlier
-# point builds them anew.  Every point's tables fit up to PG(2,19), so the
-# bushy trees build each once.  A t = q search reaches each point once, so
-# keeping every table gains it nothing, and at PG(2,64) they would take
-# 35 MB; at this limit the traced peak of PG(2,32) at t = 32 is 1.05 MiB,
-# against 0.51 MiB building every table on use and 2.84 MiB keeping every
-# table.
+# A point's table, an integer of one field per line, is kept only for the
+# last points, as many as fit in this many bytes; a node at an earlier point
+# builds it anew.  Every point's table fits up to PG(2,25), so the bushy
+# trees build each once.  A t = q search reaches each point once, so keeping
+# every table gains it nothing, and at PG(2,64) they would take 17 MB; at
+# this limit the traced peak of PG(2,32) at t = 32 is 0.66 MiB, against
+# 0.13 MiB building every table on use and 1.25 MiB keeping every table.
 TABLE_BYTES = 1 << 19
 
 
@@ -113,18 +113,20 @@ def _pruned_search(plane, m, lo, hi, budget):
     """Depth-first include-then-exclude search on an explicit stack for the
     sets of m points that meet every line in lo to hi points.
 
-    Returns (leaf masks, nodes visited, complete).  A fresh node is the entry
-    (point, size, mask, None); (point, size, mask, included) marks the return
-    from that node's include branch, where the include is undone (if it was
-    taken) and the exclude branch is tried.  The search stops before visiting
-    node budget + 1, and is complete exactly when the stack empties.
+    Returns (leaf masks, nodes visited, complete).  A stack entry is a node,
+    (point, size, mask, c, rest), that carries its branch's whole state, so
+    nothing is undone: a node pushes its exclude child, then its include
+    child, which pops first.  The search stops before visiting node
+    budget + 1, and is complete exactly when the stack empties.
 
     The mask's points on each line are counted in one integer, ``c``, with
     a field per line (``_field_format``).  Taking point i adds ``inc``, a
-    one in the field of each line through i, and undoing it subtracts it.
-    Each prune is one addition and one mask test: the addend biases every
-    field so that its top bit is set exactly when its line is over (or
-    short), and the test reads the top bits.
+    one in the field of each line through i, to ``c``.  ``rest`` holds, in
+    each line's field, top - lo plus the line's points not yet decided, so
+    deciding point i subtracts ``inc`` from it.  Each prune is one addition
+    and one mask test: the addend biases every field so that its top bit
+    tells whether its line is over hi, or can no longer reach lo, and the
+    test reads the top bits.
     """
     num_points = plane.num_points
     fmt = _field_format(plane.order)
@@ -137,44 +139,31 @@ def _pruned_search(plane, m, lo, hi, budget):
     unit = high // top  # one in every field
     over = unit * (top - hi - 1)  # top bit set: the line holds hi+1 points
     short = unit * (top - lo)  # top bit clear: the line holds fewer than lo
-    # after[i][k]: points beyond i on line point_lines[i][k] (lines are
-    # sorted); both list the lines through i in index order
-    after = [[] for _ in range(num_points)]
-    for pts in plane.lines:
-        last = len(pts) - 1
-        for rank, i in enumerate(pts):
-            after[i].append(last - rank)
 
-    def point_tables(i):
-        """(inc, dead) of point i.  inc: one in the field of each line
-        through i.  dead: top plus the points beyond i minus lo in the field
-        of each line through i, top elsewhere, so that the top bits of
-        c + dead all stay set unless excluding i leaves a line short of lo."""
+    def point_table(i):
+        """inc of point i: one in the field of each line through i."""
         inc = bytearray(len(high_bytes))
-        dead = bytearray(high_bytes)
-        inc_fields, dead_fields = memoryview(inc).cast(fmt), memoryview(dead).cast(fmt)
-        for j, rest in zip(plane.point_lines[i], after[i]):
-            inc_fields[j] = 1
-            dead_fields[j] = top + rest - lo
-        return int.from_bytes(inc, sys.byteorder), int.from_bytes(dead, sys.byteorder)
+        fields = memoryview(inc).cast(fmt)
+        for j in plane.point_lines[i]:
+            fields[j] = 1
+        return int.from_bytes(inc, sys.byteorder)
 
     # the last points' tables, as many as TABLE_BYTES holds; the others are
     # built each time a node reaches their point
-    kept_from = max(0, num_points - TABLE_BYTES // (2 * len(high_bytes)))
-    tables = [None] * kept_from + [point_tables(i) for i in range(kept_from, num_points)]
-    c = 0
+    kept_from = max(0, num_points - TABLE_BYTES // len(high_bytes))
+    tables = [None] * kept_from + [point_table(i) for i in range(kept_from, num_points)]
+    # at the root every point is undecided, and every top bit is set: a
+    # line of a plane has n + 1 >= lo points
+    start = bytearray(len(high_bytes))
+    fields = memoryview(start).cast(fmt)
+    for j, pts in enumerate(plane.lines):
+        fields[j] = top - lo + len(pts)
+    rest = int.from_bytes(start, sys.byteorder)
     leaves = []
     nodes = 0
-    stack = [(0, 0, 0, None)]
+    stack = [(0, 0, 0, 0, rest)]
     while stack:
-        i, size, mask, included = stack.pop()
-        if included is not None:
-            inc, dead = tables[i] or point_tables(i)
-            if included:
-                c -= inc
-            if (c + dead) & high == high:
-                stack.append((i + 1, size, mask, None))
-            continue
+        i, size, mask, c, rest = stack.pop()
         if nodes == budget:
             return leaves, nodes, False
         nodes += 1
@@ -184,15 +173,14 @@ def _pruned_search(plane, m, lo, hi, budget):
             continue
         if size + (num_points - i) < m:
             continue
-        # every line holds at most hi points, so only a line through i can
-        # reach hi+1 by taking i
-        taken = c + (tables[i] or point_tables(i))[0]
-        if (taken + over) & high:
-            stack.append((i, size, mask, False))
-        else:
-            c = taken
-            stack.append((i, size, mask, True))
-            stack.append((i + 1, size + 1, mask | (1 << i), None))
+        inc = tables[i] or point_table(i)
+        rest -= inc
+        # only a line through i changes: excluding i may leave one short of
+        # lo, and taking it may bring one to hi+1
+        if (c + rest) & high == high:
+            stack.append((i + 1, size, mask, c, rest))
+        if not (c + inc + over) & high:
+            stack.append((i + 1, size + 1, mask | (1 << i), c + inc, rest))
     return leaves, nodes, True
 
 

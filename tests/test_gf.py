@@ -34,6 +34,24 @@ def test_prime_power_invariants_enforced():
         assert str(excinfo.value) == text, (p, k)
 
 
+@pytest.mark.parametrize(
+    "p, k, text",
+    [
+        (0, -1, "0 is not prime"),
+        (0, -5, "0 is not prime"),
+        (4, 0, "4 is not prime"),
+        (2, 0, "exponent must be at least 1"),
+        (2, 11, "field order 2^11 exceeds table cap 1024"),
+    ],
+)
+def test_field_spec_refuses_a_power_below_one_without_computing_it(p, k, text):
+    """The cap check computes p**k only for k >= 1, so 0 to a negative power
+    is refused as not prime instead of dividing by zero."""
+    with pytest.raises(ValueError) as excinfo:
+        FieldSpec(p, k)
+    assert str(excinfo.value) == text
+
+
 def test_prime_power_small():
     factored = {}
     for m in range(-2, 60):

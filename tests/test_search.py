@@ -299,13 +299,13 @@ def test_every_reported_set_is_reverified(monkeypatch, t):
 
 
 # The per-point tables of a small plane are all kept.  TABLE_BYTES=0 builds
-# each one when a node reaches its point; 500 bytes keep the tables of the
-# last 11 of PG(2,4)'s 21 points and the last 4 of PG(2,7)'s 57, so a search
-# uses both.  Two-byte fields, which only planes of order 127 and up use,
-# are forced on the small planes too.
+# each one when a node reaches its point; 250 bytes, at a byte per line,
+# keep the tables of the last 11 of PG(2,4)'s 21 points and the last 4 of
+# PG(2,7)'s 57, so a search uses both.  Two-byte fields, which only planes
+# of order 127 and up use, are forced on the small planes too.
 TABLES = pytest.mark.parametrize(
     "table_bytes, field_format",
-    [(search.TABLE_BYTES, None), (500, None), (0, None), (search.TABLE_BYTES, "H")],
+    [(search.TABLE_BYTES, None), (250, None), (0, None), (search.TABLE_BYTES, "H")],
     ids=["kept_tables", "some_tables", "tables_on_use", "two_byte_fields"],
 )
 
@@ -354,11 +354,11 @@ def test_search_matches_step_by_step_on_a_relabelled_pg24(monkeypatch, t, found,
 
 
 def test_search_tables_stay_small_on_pg232():
-    """The tables of every point of PG(2,32) take about 2.2 MB; only the
+    """The tables of every point of PG(2,32) take about 1.1 MB; only the
     last points' tables, up to TABLE_BYTES, are kept.  At t=32 the search
     looks for the one point a set leaves out.  Its peak, traced with the
-    plane's lines and indices already built, read 1.05 MiB with the tables
-    of the last points, 2.84 MiB keeping every table and 0.51 MiB building
+    plane's lines and indices already built, read 0.66 MiB with the tables
+    of the last points, 1.25 MiB keeping every table and 0.13 MiB building
     every table on use, on Python 3.11."""
     plane = support.desarguesian(2, 5)
     plane.lines, plane.line_masks, plane.point_lines
@@ -371,6 +371,24 @@ def test_search_tables_stay_small_on_pg232():
         tracemalloc.stop()
     assert (len(leaves), nodes, complete) == (1057, 2115, True)
     assert peak < 2.2 * 2**20
+
+
+def test_deep_search_stays_small_on_pg264():
+    """At t=1 the search of PG(2,64) takes sets of 513 points, so its stack
+    grows hundreds of entries deep, and each entry carries two integers of
+    a byte per line.  Its peak over 20000 nodes, traced with the plane's
+    lines and indices already built, read 3.22 MiB on Python 3.11."""
+    plane = support.desarguesian(2, 6)
+    plane.lines, plane.line_masks, plane.point_lines
+    assert _side(plane, 1) == (513, 1, 9)
+    tracemalloc.start()
+    try:
+        leaves, nodes, complete = search._pruned_search(plane, 513, 1, 9, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(leaves), nodes, complete) == (0, 20000, False)
+    assert peak < 4 * 2**20
 
 
 def test_budget_truncation_reports_incomplete():
