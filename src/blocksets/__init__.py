@@ -8,12 +8,7 @@ order, and certifies the classification by exhaustive search in small
 planes.
 """
 
-from .blocking import (
-    Spectrum,
-    is_two_valued,
-    spectrum,
-    spectrum_to_json,
-)
+from .blocking import spectrum
 from .extremal import (
     BoundValue,
     CaseTrace,
@@ -37,7 +32,7 @@ from .families import (
     plane_minus_point,
     save_point_set,
 )
-from .gf import FieldElement, FieldSpec, prime_power
+from .gf import FieldSpec, prime_power
 from .plane import (
     IncidencePlane,
     PlaneFormatError,
@@ -63,14 +58,12 @@ __all__ = [
     "EqualityParams",
     "ExtremalValue",
     "FamilyLabel",
-    "FieldElement",
     "FieldSpec",
     "IncidencePlane",
     "PlaneFormatError",
     "PointSet",
     "SearchResult",
     "SearchTask",
-    "Spectrum",
     "baer_complement",
     "baer_subplane",
     "build_desarguesian_plane",
@@ -83,7 +76,6 @@ __all__ = [
     "equality_candidates",
     "exhaustive_extremal_search",
     "hermitian_unital",
-    "is_two_valued",
     "load_plane",
     "load_point_set",
     "max_size_bound",
@@ -92,6 +84,5 @@ __all__ = [
     "save_plane",
     "save_point_set",
     "spectrum",
-    "spectrum_to_json",
     "verify_plane_axioms",
 ]

@@ -9,28 +9,25 @@ takes the set alone, which brings its plane.
 from __future__ import annotations
 
 import dataclasses
-import json
 from collections import Counter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .families import PointSet
 
-Spectrum = dict[int, int]
-
 
 @dataclasses.dataclass(frozen=True)
 class Verdict:
     """What ``verify`` decides for one set and t.  ``minimal`` is None when
     the set is not t-fold blocking; ``failure`` words the first rule it
-    breaks.  The spectrum is in key order, so ``json.dumps`` of the fields
-    writes it as ``spectrum_to_json`` does."""
+    breaks.  The spectrum is in key order, set once by ``_tally``, so
+    ``json.dumps`` writes it with numerically sorted keys."""
 
     t: int
     size: int
     blocking: bool
     minimal: bool | None
-    spectrum: Spectrum
+    spectrum: dict[int, int]
     failure: str | None
 
 
@@ -38,18 +35,14 @@ def _line_counts(point_set: "PointSet") -> list[int]:
     return [(point_set.mask & lm).bit_count() for lm in point_set.plane.line_masks]
 
 
-def _tally(counts: list[int]) -> Spectrum:
+def _tally(counts: list[int]) -> dict[int, int]:
     return dict(sorted(Counter(counts).items()))
 
 
-def spectrum(point_set: "PointSet") -> Spectrum:
-    """Map each intersection size to the number of lines attaining it."""
+def spectrum(point_set: "PointSet") -> dict[int, int]:
+    """Map each intersection size, in key order, to the number of lines
+    attaining it."""
     return _tally(_line_counts(point_set))
-
-
-def spectrum_to_json(spec: Spectrum) -> str:
-    """Serialize a spectrum as a JSON object with numerically sorted keys."""
-    return json.dumps(dict(sorted(spec.items())))
 
 
 def verify(point_set: "PointSet", t: int) -> Verdict:
@@ -77,8 +70,3 @@ def verify(point_set: "PointSet", t: int) -> Verdict:
         if not minimal:
             failure = "a set point lies on no line meeting the set in exactly t points"
     return Verdict(t, point_set.size, minimal is not None, minimal, spec, failure)
-
-
-def is_two_valued(spec: Spectrum, t: int, b: int) -> bool:
-    """True iff the spectrum support is exactly {t, b+1} (both attained)."""
-    return set(spec) == {t, b + 1}

@@ -210,7 +210,7 @@ def _cmd_verify(args) -> int:
         minimal_text = "-" if verdict.minimal is None else _bool(verdict.minimal)
         print(
             f"size={verdict.size} blocking={_bool(verdict.blocking)} minimal={minimal_text} "
-            f"spectrum={blocking.spectrum_to_json(verdict.spectrum)}"
+            f"spectrum={json.dumps(verdict.spectrum)}"
         )
         if verdict.failure:
             print(f"failure: {verdict.failure}")
@@ -220,7 +220,7 @@ def _cmd_verify(args) -> int:
 def _cmd_spectrum(args) -> int:
     plane = load_plane(args.plane)
     ps = load_point_set(args.set_path, plane)
-    print(blocking.spectrum_to_json(blocking.spectrum(ps)))
+    print(json.dumps(blocking.spectrum(ps)))
     return EXIT_OK
 
 

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-FieldElement = int
-
 MAX_TABLE_ORDER = 1024
 
 
@@ -111,20 +109,23 @@ class FieldSpec:
     """Arithmetic context for GF(p^k) under its canonical modulus, which
     the constructor finds from p and k alone (see the module doc).
 
-    The table cap is checked first, without computing a large power, so an
-    order above it is refused before ``prime_power`` tests p for primality.
+    A p below 2 is refused first; then the table cap, without computing a
+    large power, so an order above it is refused before ``prime_power``
+    tests p for primality.
 
     An element is its index (an ``int`` in ``range(order)``); every operation
     is a lookup in tables built on first use (see ``int_tables``).
     """
 
     def __init__(self, p: int, k: int):
-        # p >= 2 and k >= 11 already exceed the cap, so p**k stays small; it
-        # is computed only for k >= 1, as 0**k divides by zero below that
+        # the cap test assumes p >= 2, where k >= 11 already exceeds the cap,
+        # so p**k stays small (and is at most 1 for k < 1)
+        if p < 2:
+            raise ValueError(f"{p} is not prime")
         if (k >= MAX_TABLE_ORDER.bit_length() or p > MAX_TABLE_ORDER
-                or k >= 1 and p**k > MAX_TABLE_ORDER):
+                or p**k > MAX_TABLE_ORDER):
             raise ValueError(f"field order {p}^{k} exceeds table cap {MAX_TABLE_ORDER}")
-        if p < 2 or prime_power(p) != (p, 1):
+        if prime_power(p) != (p, 1):
             raise ValueError(f"{p} is not prime")
         if k < 1:
             raise ValueError("exponent must be at least 1")
@@ -137,7 +138,7 @@ class FieldSpec:
             mod for mod in ((*_decode_lex(m, p, k), 1) for m in range(first, p**k))
             if _is_irreducible(mod, p)
         )
-        self.one: FieldElement = p ** (k - 1)
+        self.one = p ** (k - 1)
         self._tables: FieldTables | None = None
 
     def __eq__(self, other):
@@ -152,7 +153,7 @@ class FieldSpec:
     def elements(self) -> range:
         return range(self.order)
 
-    def _check(self, a: FieldElement) -> None:
+    def _check(self, a: int) -> None:
         """Reject an index outside range(order), which list indexing would
         wrap (negative) or fail on with IndexError."""
         if not 0 <= a < self.order:
@@ -194,7 +195,7 @@ class FieldSpec:
             self._tables = FieldTables(add, [row.index(0) for row in add], mul, inv)
         return self._tables
 
-    def pow(self, a: FieldElement, e: int) -> FieldElement:
+    def pow(self, a: int, e: int) -> int:
         """a**e for e >= 0, with pow(a, 0) == 1 (also for a == 0)."""
         if e < 0:
             raise ValueError("exponent must be non-negative")

@@ -14,13 +14,11 @@ import re
 from functools import cached_property
 from operator import getitem
 
-from .gf import FieldElement, FieldSpec, prime_power
+from .gf import FieldSpec, prime_power
 
 MAX_PLANE_FIELD_ORDER = 128
 _UNDECODED_BYTE = re.compile("[\udc80-\udcff]")
 _REFUSED_OUTSIDE_COMMENTS = re.compile("[+_]|[^\t\x20-\x7e]")
-
-ProjPoint = tuple[FieldElement, FieldElement, FieldElement]
 
 
 class PlaneFormatError(ValueError):
@@ -140,7 +138,7 @@ def build_desarguesian_plane(q: int) -> IncidencePlane:
 
 
 def _desarguesian_lines(
-    spec: FieldSpec, triples: list[ProjPoint]
+    spec: FieldSpec, triples: list[tuple[int, int, int]]
 ) -> tuple[tuple[int, ...], ...]:
     """The lines of PG(2, q), line j the dual of point j, as sorted tuples.
 

@@ -86,10 +86,6 @@ class SearchResult:
     def found(self) -> int:
         return len(self.sets)
 
-    @property
-    def attainable(self) -> bool:
-        return self.size is not None
-
     def summary(self) -> dict:
         """The ``search`` JSON row: t, size, found, complete, families."""
         return {
@@ -236,7 +232,7 @@ def exhaustive_extremal_search(task: SearchTask) -> SearchResult:
     for mask in masks:
         ps = PointSet(plane, mask)
         verdict = blocking.verify(ps, t)
-        if verdict.minimal and blocking.is_two_valued(verdict.spectrum, t, b):
+        if verdict.minimal and set(verdict.spectrum) == {t, b + 1}:
             sets.append(ps)
     seconds = time.perf_counter() - start
     return SearchResult(t, m, sets, nodes, seconds, complete, family_tally(sets))
@@ -257,7 +253,7 @@ class CertifyReport:
             "expected_t": sorted(self.expected),
             # summary() sets "t" again, which keeps its first place
             "results": [
-                {"t": e.t, "attainable": e.attainable, **e.summary(),
+                {"t": e.t, "attainable": e.size is not None, **e.summary(),
                  "expected_family": self.expected.get(e.t)}
                 for e in self.entries
             ],

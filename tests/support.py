@@ -26,7 +26,6 @@ from blocksets import (
     FieldSpec,
     PointSet,
     build_desarguesian_plane,
-    is_two_valued,
     max_size_bound,
 )
 from blocksets.blocking import verify
@@ -304,7 +303,7 @@ def extremal_sets_by_enumeration(plane, t):
     found = []
     for combo in itertools.combinations(range(plane.num_points), bv.bound):
         verdict = verify(PointSet.from_indices(plane, combo), t)
-        if verdict.minimal and is_two_valued(verdict.spectrum, t, bv.b):
+        if verdict.minimal and set(verdict.spectrum) == {t, bv.b + 1}:
             found.append(combo)
     return found
 

@@ -20,7 +20,6 @@ from blocksets import (
     equality_candidates,
     exhaustive_extremal_search,
     hermitian_unital,
-    is_two_valued,
     max_size_bound,
     plane_minus_point,
     spectrum,
@@ -91,7 +90,7 @@ def test_criterion_4_construction_verification():
                 assert bv.attainable
                 assert ps.size == bv.bound
                 assert verify(ps, t).minimal is True
-                assert is_two_valued(spectrum(ps), t, bv.b)
+                assert set(spectrum(ps)) == {t, bv.b + 1}
 
 
 def test_criterion_5_desk_scale_certification():

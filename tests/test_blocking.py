@@ -1,7 +1,6 @@
 import ast
 import functools
 import inspect
-import json
 import pathlib
 import random
 
@@ -12,12 +11,11 @@ from blocksets import (
     PointSet,
     baer_complement,
     hermitian_unital,
-    is_two_valued,
     plane_minus_point,
     spectrum,
-    spectrum_to_json,
 )
 from blocksets.blocking import verify
+from blocksets.cli import main
 
 
 def test_spectrum_empty_set():
@@ -48,10 +46,21 @@ def test_spectrum_invariants_random_subsets():
         assert sum(k * v for k, v in spec.items()) == ps.size * (n + 1)
 
 
-def test_spectrum_json_serialization():
-    spec = {3: 1, 1: 6}
-    assert spectrum_to_json(spec) == '{"1": 6, "3": 1}'
-    assert json.loads(spectrum_to_json(spec)) == {"1": 6, "3": 1}
+def test_spectrum_json_serialization(tmp_path, capsys):
+    """A spectrum is ordered once, numerically, where it is tallied, and the
+    CLI writes it as it stands: PG(2,9) minus a point meets lines in 9 and
+    10 points, which string order would swap."""
+    assert list(spectrum(plane_minus_point(support.desarguesian(3, 2), 0))) == [9, 10]
+    plane, points = str(tmp_path / "pg29.txt"), str(tmp_path / "minus-point.txt")
+    assert main(["construct", "minus-point", "9", "--output", points, "--plane-out", plane]) == 0
+    files = ["--plane", plane, "--set", points]
+    expected = '{"9": 10, "10": 81}'
+    assert main(["spectrum", *files]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+    assert main(["verify", *files, "--t", "9"]) == 0
+    assert capsys.readouterr().out.endswith(f" spectrum={expected}\n")
+    assert main(["verify", *files, "--t", "9", "--json"]) == 0
+    assert f'"spectrum": {expected},' in capsys.readouterr().out
 
 
 def test_fano_minus_point_blocking():
@@ -131,14 +140,10 @@ def test_not_minimal_example():
 
 
 def test_is_two_valued():
+    """The extremal families of PG(2,4) meet lines in t or b+1 points only."""
     plane = support.desarguesian(2, 2)
-    unital = hermitian_unital(plane)
-    assert is_two_valued(spectrum(unital), 1, 2)
-    comp = baer_complement(plane)
-    assert is_two_valued(spectrum(comp), 2, 3)
-    fano = support.desarguesian(2, 1)
-    line = PointSet.from_indices(fano, fano.lines[0])
-    assert not is_two_valued(spectrum(line), 1, 1)  # support {1,3} != {1,2}
+    assert spectrum(hermitian_unital(plane)) == {1: 9, 3: 12}
+    assert spectrum(baer_complement(plane)) == {2: 7, 4: 14}
 
 
 @pytest.mark.parametrize("p, k", [(3, 1), (2, 2)])
@@ -242,3 +247,17 @@ def test_every_public_name_has_a_caller_in_the_package():
         for member in _public_members(cls)
     }
     assert sorted(m for m in members if m.split(".")[1] not in attributes) == []
+
+
+def test_every_public_name_is_a_function_or_class_of_the_package():
+    """__all__ exports no alias of a builtin or a typing construct: each
+    name is a function or class that a module of the package defines."""
+    import blocksets
+
+    strays = [
+        name
+        for name in blocksets.__all__
+        if not (inspect.isfunction(obj := getattr(blocksets, name)) or inspect.isclass(obj))
+        or not obj.__module__.startswith("blocksets")
+    ]
+    assert strays == []

@@ -42,11 +42,15 @@ def test_prime_power_invariants_enforced():
         (4, 0, "4 is not prime"),
         (2, 0, "exponent must be at least 1"),
         (2, 11, "field order 2^11 exceeds table cap 1024"),
+        (0, 11, "0 is not prime"),
+        (1, 40, "1 is not prime"),
+        (-2, 11, "-2 is not prime"),
     ],
 )
 def test_field_spec_refuses_a_power_below_one_without_computing_it(p, k, text):
-    """The cap check computes p**k only for k >= 1, so 0 to a negative power
-    is refused as not prime instead of dividing by zero."""
+    """A p below 2 is refused as not prime before the cap check, so 0 to a
+    negative power is never computed, and a large k does not read as a
+    power above the cap."""
     with pytest.raises(ValueError) as excinfo:
         FieldSpec(p, k)
     assert str(excinfo.value) == text

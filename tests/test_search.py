@@ -14,7 +14,6 @@ from blocksets import (
     certify_no_other_t,
     characterize,
     exhaustive_extremal_search,
-    is_two_valued,
     max_size_bound,
     spectrum,
 )
@@ -47,7 +46,7 @@ def test_results_pass_independent_verifier():
     for ps in result.sets:
         assert ps.size == bv.bound
         assert verify(ps, 3).minimal is True
-        assert is_two_valued(spectrum(ps), 3, bv.b)
+        assert set(spectrum(ps)) == {3, bv.b + 1}
 
 
 @pytest.mark.parametrize(
@@ -436,7 +435,7 @@ def test_certify_pg22():
     report = certify_no_other_t(fano)
     assert report.matches_theory
     by_t = {e.t: e for e in report.entries}
-    assert not by_t[1].attainable
+    assert by_t[1].size is None
     assert by_t[2].found == 7
     assert by_t[2].families == {FamilyLabel.PLANE_MINUS_POINT.value: 7}
 
@@ -518,7 +517,6 @@ def test_certify_entries_are_the_searches(p, k):
     for entry in report.entries:
         direct = exhaustive_extremal_search(SearchTask(plane, entry.t))
         assert entry.size == direct.size
-        assert entry.attainable == (direct.size is not None)
         assert entry.complete == direct.complete
         assert entry.found == len(direct.sets)
         assert _indices(entry) == _indices(direct)
@@ -547,4 +545,4 @@ def test_search_result_size_is_the_bound_searched_for():
     unattainable = exhaustive_extremal_search(SearchTask(plane, 3))
     assert unattainable.size is None
     assert (unattainable.nodes, unattainable.complete) == (0, True)
-    assert (unattainable.attainable, unattainable.found, unattainable.families) == (False, 0, {})
+    assert (unattainable.found, unattainable.families) == (0, {})
