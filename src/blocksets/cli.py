@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("q", type=int)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("candidates", help="brute-force equality candidates for any order n")
+    p = sub.add_parser("candidates", help="equality candidates from the divisors of n, any order n")
     p.add_argument("n", type=int)
     p.add_argument("--json", action="store_true")
 
@@ -122,16 +122,15 @@ def _cmd_bound(args) -> int:
 
 
 def _case_rows(n: int, params, classified: bool) -> list[dict]:
-    """One row per (t, b): its bound, and its family and case from case_trace
-    when n is a prime power, else Unclassified and no case."""
+    """One row per (t, b): the bound n*b + t it attains, and its family and
+    case from case_trace if n is a prime power, else Unclassified, no case."""
     rows = []
     for e in params:
         family, case = "Unclassified", None
         if classified:
             trace = case_trace(n, e.t, e.b)
             family, case = trace.family.value, trace.case
-        bound = max_size_bound(n, e.t).bound
-        rows.append({"t": e.t, "b": e.b, "bound": bound, "family": family, "case": case})
+        rows.append({"t": e.t, "b": e.b, "bound": n * e.b + e.t, "family": family, "case": case})
     return rows
 
 

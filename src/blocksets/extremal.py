@@ -81,20 +81,25 @@ class EqualityParams:
 
 
 def equality_candidates(n: int) -> list[EqualityParams]:
-    """All t in 1..n whose bound is attainable with (b - t + 1) dividing n.
-
-    This is the brute-force oracle: n may be any order >= 2, in which case
-    the output lists necessary-condition solutions only.  The closed-form
-    classifier is validated against it.
+    """All t in 1..n whose bound is attainable with (b - t + 1) dividing n,
+    in order of t, from the divisors of n: n may be any order >= 2, and then
+    these are necessary-condition solutions only.  A divisor d = b - t + 1
+    puts b = d + t - 1 in (†): t^2 - (n + 1 - d) t + d(d - 1) = 0.  By (†)
+    the bound's discriminant is (2b - t + 1)^2, and 2b - t + 1 = 2d + t - 1
+    is positive, so the bound is attained with this b; and each t <= n has
+    D - (t - 1)^2 = 4t(n + 1 - t) > 0, so the bound's own d is at least 1.
     """
     if n < 2:
         raise ValueError("order must be at least 2")
-    out = []
-    for t in range(1, n + 1):
-        bv = max_size_bound(n, t)
-        if bv.attainable and check_star(n, t, bv.b):
-            out.append(EqualityParams(n, t, bv.b))
-    return out
+    found = {}
+    for e in (e for e in range(1, isqrt(n) + 1) if n % e == 0):
+        for d in {e, n // e}:
+            s = n + 1 - d
+            r = isqrt(max(s * s - 4 * d * (d - 1), 0))
+            for t in {(s - r) // 2, (s + r) // 2}:
+                if 1 <= t <= n and t * t - s * t + d * (d - 1) == 0:
+                    found[t] = d + t - 1
+    return [EqualityParams(n, t, found[t]) for t in sorted(found)]
 
 
 class ExtremalValue(NamedTuple):

@@ -8,13 +8,14 @@ Baer subplane are recomputed on coefficient tuples by plain enumeration; a
 plane also comes from an XOR construction; the incidence indices of a plane
 are rebuilt from its lines; plane axioms are checked by counting the lines
 through every pair of points; equality solutions are found by plain
-two-dimensional enumeration; prime powers are found by factoring; and
-extremal sets are found by filtering every subset of the bound's size
-through ``blocking.verify``, with no prune; the verifier itself is checked
-against line members counted from ``plane.lines`` and a Python set, which
-also finds the largest minimal sets by enumerating every subset; and the
-search's leaves, node counts and budget stops are checked against the same
-tree walked with a list of line counts in place of packed integers.
+two-dimensional enumeration, and by evaluating the bound at every t; prime
+powers are found by factoring; and extremal sets are found by filtering
+every subset of the bound's size through ``blocking.verify``, with no
+prune; the verifier itself is checked against line members counted from
+``plane.lines`` and a Python set, which also finds the largest minimal sets
+by enumerating every subset; and the search's leaves, node counts and
+budget stops are checked against the same tree walked with a list of line
+counts in place of packed integers.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ import itertools
 from typing import NamedTuple
 
 from blocksets import (
+    EqualityParams,
     FieldSpec,
     PointSet,
     build_desarguesian_plane,
+    check_star,
     max_size_bound,
 )
 from blocksets.blocking import verify
@@ -390,6 +393,20 @@ def equality_solutions_by_enumeration(n):
             div = (b - t + 1) != 0 and n % (b - t + 1) == 0
             if quad and div:
                 out.append((t, b))
+    return out
+
+
+def equality_candidates_by_scan(n):
+    """All t in 1..n whose bound is attainable with (b - t + 1) dividing n,
+    by evaluating the bound at every t: O(n) steps, against the divisors of
+    n that ``equality_candidates`` takes."""
+    if n < 2:
+        raise ValueError("order must be at least 2")
+    out = []
+    for t in range(1, n + 1):
+        bv = max_size_bound(n, t)
+        if bv.attainable and check_star(n, t, bv.b):
+            out.append(EqualityParams(n, t, bv.b))
     return out
 
 

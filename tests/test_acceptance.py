@@ -17,7 +17,6 @@ from blocksets import (
     certify_no_other_t,
     check_dagger,
     classify_prime_power,
-    equality_candidates,
     exhaustive_extremal_search,
     hermitian_unital,
     max_size_bound,
@@ -43,7 +42,7 @@ def test_criterion_1_classification_reproduction():
     with criterion(1, "classifier and brute-force oracle agree for all prime powers <= 1024"):
         for pp in support.prime_powers_up_to(1024):
             closed = [(e.t, e.b) for e in classify_prime_power(pp.q)]
-            brute = [(e.t, e.b) for e in equality_candidates(pp.q)]
+            brute = [(e.t, e.b) for e in support.equality_candidates_by_scan(pp.q)]
             assert closed == brute, f"q={pp.q}: {closed} != {brute}"
             t_set = {t for t, _ in closed}
             if pp.k % 2:

@@ -137,8 +137,34 @@ def test_classify_rejects_non_prime_powers():
 def test_classifier_matches_oracle_small():
     for pp in support.prime_powers_up_to(128):
         closed = [(e.t, e.b) for e in classify_prime_power(pp.q)]
-        brute = [(e.t, e.b) for e in equality_candidates(pp.q)]
+        brute = [(e.t, e.b) for e in support.equality_candidates_by_scan(pp.q)]
         assert closed == brute, f"q={pp.q}"
+
+
+def test_candidates_match_the_scan_over_every_t():
+    for n in range(2, 1025):
+        assert equality_candidates(n) == support.equality_candidates_by_scan(n), f"n={n}"
+
+
+@pytest.mark.parametrize("n", [5040, 10000, 27720, 59049, 65536])
+def test_candidates_match_the_scan_at_larger_orders(n):
+    assert equality_candidates(n) == support.equality_candidates_by_scan(n)
+
+
+def test_candidates_take_a_positive_divisor_and_attain_the_bound():
+    for n in range(2, 1025):
+        for e in equality_candidates(n):
+            d = e.b - e.t + 1
+            assert d >= 1 and n % d == 0, (n, e)
+            bv = max_size_bound(n, e.t)
+            assert bv.attainable and bv.b == e.b, (n, e)
+
+
+@pytest.mark.parametrize("q", [2**40, 3**26, 10**9 + 7])
+def test_candidates_at_large_prime_powers_are_the_classification(q):
+    """Orders the scan over every t could not reach in hours."""
+    closed = [(e.t, e.b) for e in classify_prime_power(q)]
+    assert [(e.t, e.b) for e in equality_candidates(q)] == closed
 
 
 def test_case_trace_baer_complement():
