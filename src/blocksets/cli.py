@@ -44,6 +44,13 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
+# The orders ``certify`` takes: the prime powers up to the plane cap whose
+# only t with an integer bound are the ones the classification predicts, so
+# each t either has no set of the bound's size or is searched on the side of
+# the plane minus a point, the Baer complement or the unital.  9 is left out:
+# its t = 1 and t = 6 searches have not been seen to finish.
+CERTIFIED_ORDERS = (2, 3, 4, 5, 8, 17, 27, 41, 59, 71, 89, 101)
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,7 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="global node budget")
     p.add_argument("--output", help="directory for found point-set files")
 
-    p = sub.add_parser("certify", help="desk-scale certification for PG(2, q), q <= 4")
+    p = sub.add_parser("certify", help="desk-scale certification for PG(2, q), q in "
+                       + ", ".join(map(str, CERTIFIED_ORDERS)))
     p.add_argument("q", type=int)
     p.add_argument(
         "--budget",
@@ -248,8 +256,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    if not 2 <= args.q <= 4:
-        raise ValueError("certification is desk-scale only, q must be 2, 3, or 4")
+    if args.q not in CERTIFIED_ORDERS:
+        raise ValueError("certification is desk-scale only, q must be one of "
+                         + ", ".join(map(str, CERTIFIED_ORDERS)))
     plane = build_desarguesian_plane(args.q)
     report = certify_no_other_t(plane, node_budget=args.budget)
     if args.json:

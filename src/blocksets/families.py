@@ -40,8 +40,21 @@ class PointSet:
         return cls(plane, mask)
 
     def indices(self) -> tuple[int, ...]:
-        mask = self.mask
-        return tuple(i for i in range(self.plane.num_points) if mask >> i & 1)
+        """The set's points in increasing order, read from the binary digits
+        of its mask a run of consecutive points at a time, so that a set of
+        a few points, or of a few runs, costs a few steps in any plane."""
+        digits = bin(self.mask)[:1:-1] + "0"  # digits[i] is bit i
+        out = []
+        i = digits.find("1")
+        while i >= 0:
+            if digits[i + 1] == "1":
+                end = digits.find("0", i)
+                out += range(i, end)
+            else:
+                end = i + 1
+                out.append(i)
+            i = digits.find("1", end)
+        return tuple(out)
 
     def complement(self) -> "PointSet":
         return PointSet(self.plane, self.mask ^ ((1 << self.plane.num_points) - 1))

@@ -17,6 +17,7 @@ number is tested for primality.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 MAX_TABLE_ORDER = 1024
@@ -27,13 +28,7 @@ def prime_power(q: int) -> tuple[int, int]:
     prime power.  p is the smallest factor of q above 1, so it is prime."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    p = q
-    f = 2
-    while f * f <= q:
-        if q % f == 0:
-            p = f
-            break
-        f += 1
+    p = _smallest_factor(q)
     k = 0
     m = q
     while m % p == 0:
@@ -42,6 +37,20 @@ def prime_power(q: int) -> tuple[int, int]:
     if m != 1:
         raise ValueError(f"{q} is not a prime power")
     return p, k
+
+
+@functools.lru_cache(maxsize=1)
+def _smallest_factor(q: int) -> int:
+    """The smallest factor of q >= 2 above 1, by trial division up to the
+    square root.  The last order's is kept: ``classify`` and ``candidates``
+    factor their order for the list and again for each row's case trace,
+    which at a prime near 10^14 would divide for a second each time."""
+    f = 2
+    while f * f <= q:
+        if q % f == 0:
+            return f
+        f += 1
+    return q
 
 
 def _poly_mul(a, b, p):

@@ -1,31 +1,33 @@
 """Exhaustive bitset backtracking for extremal minimal t-fold blocking sets.
 
-A set S of the bound's size m is extremal only if every line meets it in t
-to b+1 points; its complement, of N - m points, then meets every line in
-n - b to n + 1 - t points.  The search walks whichever side is smaller,
-judged from the sizes alone: sets of N - m points when 2m > N, complemented
-at the end, and sets of m points otherwise.  At t = q, the plane minus a
-point, that is a search for single points.
+A set S of the bound's size m is extremal only if every line meets it in
+exactly t or b+1 points; its complement, of N - m points, then meets every
+line in exactly n - b or n + 1 - t points.  The search walks whichever side
+is smaller, judged from the sizes alone: sets of N - m points when 2m > N,
+complemented at the end, and sets of m points otherwise.  At t = q, the
+plane minus a point, that is a search for single points.
 
 Subsets are enumerated in lexicographic point order, include branch first,
-with three prunes: a line that can no longer reach the lower count is dead,
-a line already holding the upper count takes no more, and a branch that
-cannot reach the target size is cut.  Every reported set is re-verified
-through the blocking module; search bookkeeping is never trusted.
+with four prunes: a line already holding the upper count takes no more, a
+line that can no longer reach the lower count is dead, a line above the
+lower count that can no longer reach the upper one is dead too, and a
+branch that cannot reach the target size is cut.  Every reported set is
+verified through the blocking module; search bookkeeping is never trusted.
 
 The search is iterative, one loop over an explicit stack, with a global node
 budget: a result reports at most that many nodes, and is complete exactly
 when the search finished.
 
-The loop keeps the set's count on every line in one integer, a byte per line
-up to order 126 (two bytes above), so that taking a point is one integer
-addition and each prune one addition and one mask test.  Each stack entry
-carries its branch's counts, so nothing is undone.  Each point has one
-precomputed addend, kept for as many of the last points as TABLE_BYTES holds
-and built on use for the others, so the tables stay small next to the plane.
-PG(2,4) at t = 1 and 2 (103056 and 60845 nodes) takes about 0.05 s each, and
-PG(2,64) at t = 64 (8323 nodes) about 7 s on a 2-vCPU Xeon under CPython
-3.11, nearly all of it the re-verification of its 4161 sets.
+The loop keeps the set's counts on every line in integers of a byte per
+line up to order 126 (two bytes above), so that taking a point is one
+integer addition and each prune an addition or two and a mask test.  Each
+stack entry carries its branch's counts, so nothing is undone.  Each point
+has one precomputed addend, kept for as many of the last points as
+TABLE_BYTES holds and built on use for the others, so the tables stay small
+next to the plane.  On a 2-vCPU Xeon under CPython 3.11, PG(2,4) at t = 1
+and 2 (14480 and 9192 nodes) takes about 0.02 s each, and PG(2,64) at
+t = 64 (8323 nodes, 4161 sets, each verified from the point it leaves out)
+about 0.3 s.
 """
 
 from __future__ import annotations
@@ -107,22 +109,39 @@ def _field_format(order):
 
 def _pruned_search(plane, m, lo, hi, budget):
     """Depth-first include-then-exclude search on an explicit stack for the
-    sets of m points that meet every line in lo to hi points.
+    sets of m points that meet every line in exactly lo or hi points.
 
     Returns (leaf masks, nodes visited, complete).  A stack entry is a node,
-    (point, size, mask, c, rest), that carries its branch's whole state, so
-    nothing is undone: a node pushes its exclude child, then its include
+    (point, size, mask, held, reach), that carries its branch's whole state,
+    so nothing is undone: a node pushes its exclude child, then its include
     child, which pops first.  The search stops before visiting node
     budget + 1, and is complete exactly when the stack empties.
 
-    The mask's points on each line are counted in one integer, ``c``, with
-    a field per line (``_field_format``).  Taking point i adds ``inc``, a
-    one in the field of each line through i, to ``c``.  ``rest`` holds, in
-    each line's field, top - lo plus the line's points not yet decided, so
-    deciding point i subtracts ``inc`` from it.  Each prune is one addition
-    and one mask test: the addend biases every field so that its top bit
-    tells whether its line is over hi, or can no longer reach lo, and the
-    test reads the top bits.
+    Four prunes cut a child: a line over hi; a line that can no longer
+    reach lo; a line above lo that can no longer reach hi; and, through the
+    node's own check, a branch too short to reach m points.  A leaf is kept
+    when every line holds lo or hi points.  The third prune is sound because
+    a line's count only grows along a branch, and its count plus its
+    undecided points bounds the count it ends with: a line above lo stays
+    above lo, so it must end at hi.  It holds on both sides of a search, as
+    a set meets every line in t or b+1 points exactly when its complement
+    meets every line in n-b or n+1-t.  With hi = lo + 1 a line above lo
+    already holds hi, so that prune never cuts and is skipped: at t = n
+    the tree is the one the window alone gives.
+
+    The counts are kept in two integers with a field per line
+    (``_field_format``), each biased so that the top bit of a field answers
+    one question about its line.  ``held`` is the mask's count plus top-lo-1:
+    its top bit says the line holds more than lo points.  ``reach`` is the
+    count plus the line's undecided points plus top-lo: its top bit says the
+    line can still reach lo.  Deciding point i changes only the fields of
+    the lines through i, by ``inc``, a one in each of them: taking it adds
+    ``inc`` to ``held``, and leaving it out subtracts ``inc`` from
+    ``reach``.  Subtracting ``gap``, hi-lo in every field, turns the
+    questions into holding more than hi and reaching hi, so each prune is an
+    addition or two and a test of the top bits.  On PG(2,4), the two-valued
+    prune takes t = 1 from 103056 nodes to 14480 and t = 2 from 60845 to
+    9192.
     """
     num_points = plane.num_points
     fmt = _field_format(plane.order)
@@ -133,8 +152,8 @@ def _pruned_search(plane, m, lo, hi, budget):
     high_bytes = top.to_bytes(field_bytes, sys.byteorder) * len(plane.lines)
     high = int.from_bytes(high_bytes, sys.byteorder)
     unit = high // top  # one in every field
-    over = unit * (top - hi - 1)  # top bit set: the line holds hi+1 points
-    short = unit * (top - lo)  # top bit clear: the line holds fewer than lo
+    gap = unit * (hi - lo)
+    two_valued = hi - lo > 1
 
     def point_table(i):
         """inc of point i: one in the field of each line through i."""
@@ -148,35 +167,38 @@ def _pruned_search(plane, m, lo, hi, budget):
     # built each time a node reaches their point
     kept_from = max(0, num_points - TABLE_BYTES // len(high_bytes))
     tables = [None] * kept_from + [point_table(i) for i in range(kept_from, num_points)]
-    # at the root every point is undecided, and every top bit is set: a
-    # line of a plane has n + 1 >= lo points
+    # at the root every point is undecided, and every top bit of ``reach``
+    # is set: a line of a plane has n + 1 >= lo points
     start = bytearray(len(high_bytes))
     fields = memoryview(start).cast(fmt)
     for j, pts in enumerate(plane.lines):
         fields[j] = top - lo + len(pts)
-    rest = int.from_bytes(start, sys.byteorder)
     leaves = []
     nodes = 0
-    stack = [(0, 0, 0, 0, rest)]
+    stack = [(0, 0, 0, unit * (top - lo - 1), int.from_bytes(start, sys.byteorder))]
     while stack:
-        i, size, mask, c, rest = stack.pop()
+        i, size, mask, held, reach = stack.pop()
         if nodes == budget:
             return leaves, nodes, False
         nodes += 1
         if size == m:
-            if (c + short) & high == high:
+            # the leaf leaves out every undecided point: each line's count
+            # is final, and must be lo, or above lo and at least hi
+            low = held + unit
+            if low & high == high and not (two_valued and held & ~(low - gap) & high):
                 leaves.append(mask)
             continue
         if size + (num_points - i) < m:
             continue
         inc = tables[i] or point_table(i)
-        rest -= inc
-        # only a line through i changes: excluding i may leave one short of
-        # lo, and taking it may bring one to hi+1
-        if (c + rest) & high == high:
-            stack.append((i + 1, size, mask, c, rest))
-        if not (c + inc + over) & high:
-            stack.append((i + 1, size + 1, mask | (1 << i), c + inc, rest))
+        # only a line through i changes: leaving i out may leave one short of
+        # lo or of hi, and taking it may bring one to hi+1, or above lo
+        cut = reach - inc
+        if cut & high == high and not (two_valued and held & ~(cut - gap) & high):
+            stack.append((i + 1, size, mask, held, cut))
+        took = held + inc
+        if not (took - gap) & high and not (two_valued and took & ~(reach - gap) & high):
+            stack.append((i + 1, size + 1, mask | (1 << i), took, reach))
     return leaves, nodes, True
 
 

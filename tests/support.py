@@ -13,9 +13,10 @@ powers are found by factoring; and extremal sets are found by filtering
 every subset of the bound's size through ``blocking.verify``, with no
 prune; the verifier itself is checked against line members counted from
 ``plane.lines`` and a Python set, which also finds the largest minimal sets
-by enumerating every subset; and the search's leaves, node counts and
-budget stops are checked against the same tree walked with a list of line
-counts in place of packed integers.
+by enumerating every subset, and against every line's count by mask
+intersection, where it counts from the smaller side; and the search's
+leaves, node counts and budget stops are checked against the same tree
+walked with a list of line counts in place of packed integers.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from blocksets import (
     check_star,
     max_size_bound,
 )
-from blocksets.blocking import verify
+from blocksets.blocking import Verdict, verify
 
 _plane_cache: dict[int, object] = {}
 _field_cache: dict[tuple[int, int], FieldSpec] = {}
@@ -292,6 +293,32 @@ def verdict_by_points(plane, indices, t):
     return spec, blocking, minimal, short
 
 
+def verdict_by_masks(point_set, t):
+    """The ``Verdict`` of ``blocking.verify``, field for field and word for
+    word, decided from the set's count on every line by mask intersection:
+    one ``bit_count`` per line of the plane, where ``blocking`` counts from
+    the smaller side through ``point_lines``.  Its spectrum is the oracle of
+    ``blocking.spectrum``."""
+    plane = point_set.plane
+    counts = [(point_set.mask & lm).bit_count() for lm in plane.line_masks]
+    spec = {c: counts.count(c) for c in sorted(set(counts))}
+    minimal = failure = None
+    if min(spec) < t:
+        j = next(j for j, c in enumerate(counts) if c < t)
+        failure = f"line {j} meets the set in {counts[j]} < t points"
+    elif t not in spec:
+        failure = f"no line meets the set in exactly {t} points"
+    else:
+        cover = 0
+        for lm, c in zip(plane.line_masks, counts):
+            if c == t:
+                cover |= lm
+        minimal = point_set.mask & cover == point_set.mask
+        if not minimal:
+            failure = "a set point lies on no line meeting the set in exactly t points"
+    return Verdict(t, point_set.size, minimal is not None, minimal, spec, failure)
+
+
 # -- prune-safety oracle for the search ---------------------------------------
 
 
@@ -328,10 +355,21 @@ def largest_minimal_sets_by_enumeration(plane, t):
 # -- step-by-step search oracle ----------------------------------------------
 
 
-def pruned_search_by_steps(plane, m, lo, hi, budget):
+def search_side(plane, t, other=False):
+    """The (m, lo, hi) the program searches for t: the sets of the bound's
+    size m meeting every line in t or b+1 points, or, when they hold more
+    than half the points, their complements, meeting every line in n-b or
+    n+1-t points.  With ``other``, the side the program does not search."""
+    bv = max_size_bound(plane.order, t)
+    n, N, m, b = plane.order, plane.num_points, bv.bound, bv.b
+    return (N - m, n - b, n + 1 - t) if (2 * m > N) != other else (m, t, b + 1)
+
+
+def pruned_search_by_steps(plane, m, lo, hi, budget, two_valued=True):
     """Depth-first include-then-exclude search on an explicit stack for the
     sets of m points that meet every line in lo to hi points, counted in a
-    list with one entry per line.
+    list with one entry per line; with ``two_valued``, in exactly lo or hi
+    points, and a line above lo that can no longer reach hi is cut.
 
     Returns (leaf masks, nodes visited, complete).  A fresh node is the entry
     (point, size, mask, None); (point, size, mask, included) marks the return
@@ -342,12 +380,19 @@ def pruned_search_by_steps(plane, m, lo, hi, budget):
     num_points = plane.num_points
     pt_lines = plane.point_lines
     # after[i][k]: points beyond i on line pt_lines[i][k] (lines are sorted),
-    # for the dead-line prune; both list the lines through i in index order
+    # for the dead-line prunes; both list the lines through i in index order
     after = [[] for _ in range(num_points)]
     for pts in plane.lines:
         last = len(pts) - 1
         for rank, i in enumerate(pts):
             after[i].append(last - rank)
+
+    def alive(c, rest):
+        """Whether a line holding c points, with rest undecided, can still
+        end at an allowed count."""
+        return c + rest >= lo and (not two_valued or c <= lo or c + rest >= hi)
+
+    allowed = {lo, hi} if two_valued else set(range(lo, hi + 1))
     counts = [0] * len(plane.lines)
     leaves = []
     nodes = 0
@@ -359,20 +404,21 @@ def pruned_search_by_steps(plane, m, lo, hi, budget):
             if included:
                 for j in lines:
                     counts[j] -= 1
-            if all(counts[j] + rest >= lo for j, rest in zip(lines, after[i])):
+            if all(alive(counts[j], rest) for j, rest in zip(lines, after[i])):
                 stack.append((i + 1, size, mask, None))
             continue
         if nodes == budget:
             return leaves, nodes, False
         nodes += 1
         if size == m:
-            if all(c >= lo for c in counts):
+            if all(c in allowed for c in counts):
                 leaves.append(mask)
             continue
         if i == num_points or size + (num_points - i) < m:
             continue
         lines = pt_lines[i]
-        take = all(counts[j] < hi for j in lines)
+        take = all(counts[j] < hi and alive(counts[j] + 1, rest)
+                   for j, rest in zip(lines, after[i]))
         stack.append((i, size, mask, take))
         if take:
             for j in lines:

@@ -3,6 +3,7 @@ import functools
 import inspect
 import pathlib
 import random
+from math import isqrt
 
 import pytest
 
@@ -11,11 +12,16 @@ from blocksets import (
     PointSet,
     baer_complement,
     hermitian_unital,
+    max_size_bound,
     plane_minus_point,
+    prime_power,
+    search,
     spectrum,
 )
 from blocksets.blocking import verify
 from blocksets.cli import main
+from blocksets.search import DEFAULT_NODE_BUDGET
+from test_golden import golden_point_sets
 
 
 def test_spectrum_empty_set():
@@ -261,3 +267,79 @@ def test_every_public_name_is_a_function_or_class_of_the_package():
         or not obj.__module__.startswith("blocksets")
     ]
     assert strays == []
+
+
+def _assert_matches_mask_oracle(ps, ts):
+    """The whole Verdict at each t, and the spectrum, equal the mask
+    oracle's, which counts every line of the plane by mask intersection."""
+    for t in ts:
+        expected = support.verdict_by_masks(ps, t)
+        assert (verify(ps, t), spectrum(ps)) == (expected, expected.spectrum), (ps.indices(), t)
+
+
+def _checked_ts(plane, *ts):
+    """The given t that the verifier takes, with t = n + 1, where the lines
+    that miss the complement are the t-lines, in sorted order."""
+    return sorted({t for t in ts if 1 <= t <= plane.order} | {plane.order + 1})
+
+
+# Each search below stops at this budget if it has not finished: every tree
+# up to PG(2,4) finishes, as do PG(2,q) at t = q on both sides up to PG(2,16).
+LEAF_BUDGET = 40000
+
+
+@pytest.mark.parametrize("other", [False, True], ids=["searched_side", "other_side"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_verify_matches_mask_oracle_on_search_leaves(q, other):
+    """Every leaf the search reaches within LEAF_BUDGET nodes, at every
+    attainable t, on the side the program searches and on the other, and
+    the complement of each: the sets the verifier sees from both sides."""
+    plane = support.desarguesian(*prime_power(q))
+    seen = 0
+    for t in range(1, q + 1):
+        if not max_size_bound(q, t).attainable:
+            continue
+        m, lo, hi = support.search_side(plane, t, other)
+        leaves, _, _ = search._pruned_search(plane, m, lo, hi, LEAF_BUDGET)
+        for mask in leaves:
+            ps = PointSet(plane, mask)
+            for each in (ps, ps.complement()):
+                _assert_matches_mask_oracle(each, _checked_ts(plane, t, lo, hi))
+        seen += len(leaves)
+    assert seen
+
+
+def test_verify_matches_mask_oracle_on_golden_point_sets():
+    for _, ps in golden_point_sets().values():
+        _assert_matches_mask_oracle(ps, range(1, ps.plane.order + 2))
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (3, 2), (2, 4), (5, 2)],
+                         ids=["pg24", "pg29", "pg216", "pg225"])
+def test_verify_matches_mask_oracle_on_families_and_their_cuts(p, k):
+    """The three families, and each with every one of its points removed."""
+    plane = support.desarguesian(p, k)
+    n = plane.order
+    r = isqrt(n)
+    families = [(hermitian_unital(plane), 1), (baer_complement(plane), n - r),
+                (plane_minus_point(plane, 0), n)]
+    for ps, t in families:
+        ts = _checked_ts(plane, t)
+        _assert_matches_mask_oracle(ps, ts)
+        for i in ps.indices():
+            _assert_matches_mask_oracle(PointSet(plane, ps.mask ^ (1 << i)), ts)
+
+
+@pytest.mark.parametrize("k", [5, 6], ids=["pg232", "pg264"])
+def test_verify_matches_mask_oracle_on_sampled_leaves_of_large_planes(k):
+    """Every 16th leaf of the t = q search, a single point, and the set it
+    stands for, the plane minus that point."""
+    plane = support.desarguesian(2, k)
+    q = plane.order
+    leaves, _, complete = search._pruned_search(plane, *support.search_side(plane, q),
+                                                DEFAULT_NODE_BUDGET)
+    assert complete and len(leaves) == plane.num_points
+    for mask in leaves[::16]:
+        ps = PointSet(plane, mask)
+        _assert_matches_mask_oracle(ps, [1])
+        _assert_matches_mask_oracle(ps.complement(), [q, q + 1])

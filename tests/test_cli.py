@@ -398,7 +398,8 @@ USAGE_ERRORS = [
      "8 is not a square; the unital family lives in planes of square order"),
     (["construct", "baer", "2"], None,
      "2 is not a square; the baer family lives in planes of square order"),
-    (["certify", "5"], None, "certification is desk-scale only, q must be 2, 3, or 4"),
+    (["certify", "7"], None, "certification is desk-scale only, q must be one of "
+     "2, 3, 4, 5, 8, 17, 27, 41, 59, 71, 89, 101"),
     (["search", "--plane", "{plane}", "--t", "2", "--output", "{out}"], "file",
      "{out} exists and is not a directory"),
     (["search", "--plane", "{plane}", "--t", "2", "--output", "{out}"], "dir",
@@ -444,9 +445,23 @@ def test_certify_text(capsys):
 
 
 def test_certify_rejects_large_order(capsys):
-    code, _, err = run(capsys, "certify", "5")
+    code, _, err = run(capsys, "certify", "7")
     assert code == 2
     assert "desk-scale" in err
+
+
+@pytest.mark.parametrize("q", ["8", "17", "27"])
+def test_certify_beyond_order_4_matches_theory(capsys, q):
+    """Orders whose only integer-bound t is t = q: every other t is
+    reported at once, and t = q is searched as single points."""
+    code, out, err = run(capsys, "certify", q)
+    assert (code, err) == (0, "")
+    rows = out.splitlines()
+    assert rows[-1] == "matches_theory=true"
+    n, N = int(q), int(q) ** 2 + int(q) + 1
+    assert rows[n - 1] == (f"t={n} attainable=true found={N} complete=true "
+                           f"families=PlaneMinusPoint:{N} expected=PlaneMinusPoint")
+    assert all("attainable=false" in row for row in rows[:n - 1])
 
 
 def test_unknown_subcommand_exits_2(capsys):

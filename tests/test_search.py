@@ -133,13 +133,13 @@ def test_search_does_not_depend_on_point_numbering(p, k, t):
 @pytest.mark.parametrize(
     "p, k, t, budget, nodes, found, complete",
     [
-        (2, 2, 1, DEFAULT_NODE_BUDGET, 103056, 280, True),
-        (2, 2, 2, DEFAULT_NODE_BUDGET, 60845, 360, True),
+        (2, 2, 1, DEFAULT_NODE_BUDGET, 14480, 280, True),
+        (2, 2, 2, DEFAULT_NODE_BUDGET, 9192, 360, True),
         (2, 4, 16, DEFAULT_NODE_BUDGET, 547, 273, True),
-        (2, 2, 1, 5000, 5000, 24, False),
+        (2, 2, 1, 5000, 5000, 98, False),
         (2, 4, 16, 300, 300, 150, False),
         (2, 4, 16, 546, 546, 273, False),
-        (2, 2, 2, 1000, 1000, 6, False),
+        (2, 2, 2, 1000, 1000, 31, False),
     ],
     ids=["pg24_t1", "pg24_t2", "pg216_t16", "pg24_t1_budget", "pg216_t16_budget",
          "pg216_t16_budget_last_tail", "pg24_t2_budget"],
@@ -147,7 +147,9 @@ def test_search_does_not_depend_on_point_numbering(p, k, t):
 def test_search_tree_is_pinned(p, k, t, budget, nodes, found, complete):
     """Trees counted by the step-by-step oracle; the node count also catches
     a weakened prune that still finds the same sets.  The bushy trees have
-    no closed form: t=1 is searched directly, t=2 on the complement side.
+    no closed form: t=1 is searched directly, t=2 on the complement side,
+    and the two-valued prune takes them from the 103056 and 60845 nodes of
+    the window [lo, hi] alone to 14480 and 9192.
     PG(2,16) at t=16 searches single points, 2N+1 nodes; a budget of 300
     stops after 150 of them, and one of 2N inside the last forced tail,
     before the cut that ends it, with every set found."""
@@ -183,21 +185,11 @@ def test_plane_minus_point_search_takes_2n_plus_1_nodes(p, k, relabel):
     assert _indices(stopped) == _indices(full)
 
 
-def _side(plane, t, other=False):
-    """The (m, lo, hi) the program searches for t: the sets of the bound's
-    size m meeting every line in t to b+1 points, or, when they hold more
-    than half the points, their complements, meeting every line in n-b to
-    n+1-t points.  With ``other``, the side the program does not search."""
-    bv = max_size_bound(plane.order, t)
-    n, N, m, b = plane.order, plane.num_points, bv.bound, bv.b
-    return (N - m, n - b, n + 1 - t) if (2 * m > N) != other else (m, t, b + 1)
-
-
 def _both_searches(plane, t, budget, other=False):
     """(leaf masks, nodes, complete) of the search and of its step-by-step
     oracle, at one budget, on the side the program searches (or, with
     ``other``, the other side)."""
-    return [search._pruned_search(plane, *_side(plane, t, other), budget),
+    return [search._pruned_search(plane, *support.search_side(plane, t, other), budget),
             _by_steps(plane, t, budget, other)]
 
 
@@ -205,7 +197,7 @@ def _both_searches(plane, t, budget, other=False):
 def _by_steps(plane, t, budget, other=False):
     """(leaf masks, nodes, complete) of the step-by-step oracle, which no
     setting of the search changes, so each is computed once per session."""
-    return support.pruned_search_by_steps(plane, *_side(plane, t, other), budget)
+    return support.pruned_search_by_steps(plane, *support.search_side(plane, t, other), budget)
 
 
 # The oracle is compared on both sides of each t.  "every_tail" is the side
@@ -237,10 +229,9 @@ def test_search_matches_step_by_step_on_every_budget(p, k, seed, other):
 @pytest.mark.parametrize(
     "k, t, budgets",
     [
-        (2, 1, [1, 2, 50, 108, 214, 215, 4999, 5000, 77777, 96056, 96057, 96058, 103050,
-                103055, 103056, 103057]),
-        (2, 2, [*range(1, 301), 28040, 50130, 60000, 60844, 60845, 60846, 90808, 90809,
-                90810]),
+        (2, 1, [1, 2, 50, 108, 214, 215, 4999, 5000, 12345, 14248, 14249, 14250, 14479,
+                14480, 14481, 103056]),
+        (2, 2, [*range(1, 301), 5000, 9191, 9192, 9193, 13172, 13173, 13174, 60845]),
         (2, 4, [*range(1, 45), 233, 250, 251, 252]),
         (4, 16, [1, 2, 272, 273, 274, 545, 546, 547, 548, 1000, 20000, 37400, 37672, 37673,
                  37674]),
@@ -252,6 +243,57 @@ def test_search_matches_step_by_step_on_sampled_budgets(k, t, budgets, other):
     for budget in budgets:
         new, old = _both_searches(plane, t, budget, other)
         assert new == old, budget
+
+
+@SIDES
+@pytest.mark.parametrize("p, k, relabel", [(2, 1, False), (3, 1, False), (2, 2, False),
+                                           (2, 2, True)],
+                         ids=["pg22", "pg23", "pg24", "pg24_relabelled"])
+def test_two_valued_leaves_are_the_window_leaves_with_two_counts(p, k, relabel, other):
+    """The two-valued prune cuts no set it should keep: at every attainable
+    t the leaves are those of the oracle with that prune off, which keeps
+    every count in [lo, hi], whose every line holds lo or hi points, counted
+    from ``plane.lines`` with a Python set."""
+    plane = _relabelled_pg24() if relabel else support.desarguesian(p, k)
+    ts = [t for t in range(1, plane.order + 1) if max_size_bound(plane.order, t).attainable]
+    assert ts
+    for t in ts:
+        m, lo, hi = support.search_side(plane, t, other)
+        window, _, done = support.pruned_search_by_steps(plane, m, lo, hi, DEFAULT_NODE_BUDGET,
+                                                         two_valued=False)
+        assert done
+        expected = []
+        for mask in window:
+            members = {i for i in range(plane.num_points) if mask >> i & 1}
+            if all(len(members.intersection(line)) in (lo, hi) for line in plane.lines):
+                expected.append(mask)
+        leaves, _, complete = search._pruned_search(plane, m, lo, hi, DEFAULT_NODE_BUDGET)
+        assert complete and expected and leaves == expected, t
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1)], ids=["pg22", "pg23"])
+def test_leaves_away_from_the_bound_hold_lo_or_hi_on_every_line(p, k):
+    """At the bound's size every set in the window [lo, hi] meets each line
+    in lo or hi points, but at other sizes some do not, and the leaf check
+    drops them: for every m and every lo, hi at least two apart, the search
+    matches the step-by-step oracle, and its leaves are the prune-off
+    oracle's leaves whose every line holds lo or hi points."""
+    plane = support.desarguesian(p, k)
+    n = plane.order
+    dropped = 0
+    for m in range(1, plane.num_points):
+        for lo in range(n + 1):
+            for hi in range(lo + 2, n + 2):
+                new = search._pruned_search(plane, m, lo, hi, 20000)
+                assert new == support.pruned_search_by_steps(plane, m, lo, hi, 20000)
+                window = support.pruned_search_by_steps(plane, m, lo, hi, 20000,
+                                                        two_valued=False)[0]
+                kept = [mask for mask in window
+                        if all((mask & lm).bit_count() in (lo, hi) for lm in plane.line_masks)]
+                if new[2] and window:
+                    assert new[0] == kept, (m, lo, hi)
+                    dropped += len(window) - len(kept)
+    assert dropped
 
 
 @pytest.mark.parametrize("seed", [None, 2024], ids=["canonical", "relabelled"])
@@ -336,8 +378,8 @@ def test_search_matches_step_by_step_on_pg27(monkeypatch, t, table_bytes, field_
 @pytest.mark.parametrize(
     "t, found, budgets",
     [
-        (1, 280, [1, 21, 300, 5000, 51234, 92494, 92495, DEFAULT_NODE_BUDGET]),
-        (2, 360, [1, 21, 300, 5000, 45678, 52377, 52378, DEFAULT_NODE_BUDGET]),
+        (1, 280, [1, 21, 300, 5000, 10234, 12153, 12154, DEFAULT_NODE_BUDGET]),
+        (2, 360, [1, 21, 300, 5000, 7654, 9231, 9232, DEFAULT_NODE_BUDGET]),
     ],
     ids=["pg24_t1", "pg24_t2"],
 )
@@ -361,7 +403,7 @@ def test_search_tables_stay_small_on_pg232():
     every table on use, on Python 3.11."""
     plane = support.desarguesian(2, 5)
     plane.lines, plane.line_masks, plane.point_lines
-    assert _side(plane, 32) == (1, 0, 1)
+    assert support.search_side(plane, 32) == (1, 0, 1)
     tracemalloc.start()
     try:
         leaves, nodes, complete = search._pruned_search(plane, 1, 0, 1, DEFAULT_NODE_BUDGET)
@@ -379,7 +421,7 @@ def test_deep_search_stays_small_on_pg264():
     lines and indices already built, read 3.22 MiB on Python 3.11."""
     plane = support.desarguesian(2, 6)
     plane.lines, plane.line_masks, plane.point_lines
-    assert _side(plane, 1) == (513, 1, 9)
+    assert support.search_side(plane, 1) == (513, 1, 9)
     tracemalloc.start()
     try:
         leaves, nodes, complete = search._pruned_search(plane, 513, 1, 9, 20000)
