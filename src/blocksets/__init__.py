@@ -26,7 +26,6 @@ from .families import (
     PointSet,
     baer_complement,
     baer_subplane,
-    characterize,
     hermitian_unital,
     load_point_set,
     plane_minus_point,
@@ -69,7 +68,6 @@ __all__ = [
     "build_desarguesian_plane",
     "case_trace",
     "certify_no_other_t",
-    "characterize",
     "check_dagger",
     "check_star",
     "classify_prime_power",

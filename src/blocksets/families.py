@@ -134,27 +134,29 @@ def plane_minus_point(plane: IncidencePlane, point: int) -> PointSet:
     return PointSet(plane, ((1 << plane.num_points) - 1) ^ (1 << point))
 
 
-def characterize(point_set: PointSet) -> FamilyLabel:
-    """Family label for a set already verified as extremal.
-
-    Tests the defining line-intersection patterns in the set's own plane,
-    not isomorphism to a particular model, so non-classical members of a
-    family are accepted.  The label is computed from the set alone.
-    """
-    n = point_set.plane.order
-    comp = point_set.complement()
-    if comp.size == 1:
+def _family(n: int, size: int, spectrum: dict[int, int]) -> FamilyLabel:
+    """The family of a set of ``size`` points of PG(2, n) whose lines meet
+    it in the counts keying ``spectrum``: for n = r^2, a Baer complement
+    meets each line in n-r or n points, and a unital in 1 or r+1."""
+    if size == n * n + n:
         return FamilyLabel.PLANE_MINUS_POINT
     r = isqrt(n)
     if r * r == n:
-        baer_values = {1, r + 1}
-        if comp.size == n + r + 1:
-            if set(blocking.spectrum(comp)) <= baer_values:
-                return FamilyLabel.BAER_COMPLEMENT
-        if point_set.size == n * r + 1:
-            if set(blocking.spectrum(point_set)) <= baer_values:
-                return FamilyLabel.UNITAL
+        if size == n * n - r and spectrum.keys() <= {n - r, n}:
+            return FamilyLabel.BAER_COMPLEMENT
+        if size == n * r + 1 and spectrum.keys() <= {1, r + 1}:
+            return FamilyLabel.UNITAL
     return FamilyLabel.UNCLASSIFIED
+
+
+def characterize(point_set: PointSet) -> FamilyLabel:
+    """Family label for a set already verified as extremal: ``_family`` of
+    its size and its one ``blocking.spectrum``.
+
+    It tests the defining line-intersection patterns in the set's own
+    plane, not isomorphism to a particular model, so non-classical members
+    of a family are accepted."""
+    return _family(point_set.plane.order, point_set.size, blocking.spectrum(point_set))
 
 
 def format_point_set(point_set: PointSet) -> str:

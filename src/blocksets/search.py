@@ -37,11 +37,10 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import blocking
 from .extremal import classify_prime_power, max_size_bound
-from .families import PointSet, characterize
+from .families import PointSet, _family
 from .plane import IncidencePlane
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -73,8 +72,8 @@ class SearchTask:
 class SearchResult:
     """What one search did.  ``size`` is the bound that was searched for, or
     None when the bound is not attainable and nothing was searched.
-    ``families`` is the ``family_tally`` of ``sets``; ``seconds`` times the
-    search alone, not the tally."""
+    ``families`` counts the sets of each family label, labels in sorted
+    order; ``seconds`` times the search, its verification and its labels."""
 
     t: int
     size: int | None
@@ -202,11 +201,6 @@ def _pruned_search(plane, m, lo, hi, budget):
     return leaves, nodes, True
 
 
-def family_tally(sets: Sequence[PointSet]) -> dict[str, int]:
-    """How many sets carry each ``characterize`` label, labels in sorted order."""
-    return dict(sorted(Counter(characterize(ps).value for ps in sets).items()))
-
-
 def exhaustive_extremal_search(task: SearchTask) -> SearchResult:
     """Run one search task to exhaustion (or until the node budget runs out).
 
@@ -233,7 +227,8 @@ def exhaustive_extremal_search(task: SearchTask) -> SearchResult:
 
     The search only bounds line counts.  Each leaf, complemented on the
     complement side, goes to ``blocking.verify`` and is kept only if it is
-    minimal with spectrum {t, b+1}.
+    minimal with spectrum {t, b+1}, then labelled from that spectrum, so
+    each kept set is counted once.
     """
     start = time.perf_counter()
     plane, t = task.plane, task.t
@@ -251,13 +246,15 @@ def exhaustive_extremal_search(task: SearchTask) -> SearchResult:
     else:
         masks, nodes, complete = _pruned_search(plane, m, t, b + 1, task.node_budget)
     sets = []
+    families = Counter()
     for mask in masks:
         ps = PointSet(plane, mask)
         verdict = blocking.verify(ps, t)
         if verdict.minimal and set(verdict.spectrum) == {t, b + 1}:
             sets.append(ps)
+            families[_family(n, m, verdict.spectrum).value] += 1
     seconds = time.perf_counter() - start
-    return SearchResult(t, m, sets, nodes, seconds, complete, family_tally(sets))
+    return SearchResult(t, m, sets, nodes, seconds, complete, dict(sorted(families.items())))
 
 
 @dataclass

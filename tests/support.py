@@ -14,7 +14,8 @@ every subset of the bound's size through ``blocking.verify``, with no
 prune; the verifier itself is checked against line members counted from
 ``plane.lines`` and a Python set, which also finds the largest minimal sets
 by enumerating every subset, and against every line's count by mask
-intersection, where it counts from the smaller side; and the search's
+intersection, where it counts from the smaller side; a set's family is
+read from that mask count and the paper's definitions; and the search's
 leaves, node counts and budget stops are checked against the same tree
 walked with a list of line counts in place of packed integers.
 """
@@ -26,6 +27,7 @@ from typing import NamedTuple
 
 from blocksets import (
     EqualityParams,
+    FamilyLabel,
     FieldSpec,
     PointSet,
     build_desarguesian_plane,
@@ -317,6 +319,22 @@ def verdict_by_masks(point_set, t):
         if not minimal:
             failure = "a set point lies on no line meeting the set in exactly t points"
     return Verdict(t, point_set.size, minimal is not None, minimal, spec, failure)
+
+
+def family_by_definition(q, size, spec):
+    """The family of a set of ``size`` points of PG(2, q) whose line
+    counts are the keys of ``spec``, by the paper's definitions: a plane
+    minus a point has q^2+q points; for q = r^2, a unital has r^3+1 points
+    and meets every line in 1 or r+1 of them, and a Baer complement has
+    q^2-r points and meets every line in q-r or q."""
+    if size == q * q + q:
+        return FamilyLabel.PLANE_MINUS_POINT
+    r = next((r for r in range(q + 1) if r * r == q), None)
+    if r is not None and size == r**3 + 1 and set(spec) <= {1, r + 1}:
+        return FamilyLabel.UNITAL
+    if r is not None and size == q * q - r and set(spec) <= {q - r, q}:
+        return FamilyLabel.BAER_COMPLEMENT
+    return FamilyLabel.UNCLASSIFIED
 
 
 # -- prune-safety oracle for the search ---------------------------------------

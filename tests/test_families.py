@@ -6,7 +6,6 @@ from blocksets import (
     PointSet,
     baer_complement,
     baer_subplane,
-    characterize,
     hermitian_unital,
     load_point_set,
     max_size_bound,
@@ -15,6 +14,7 @@ from blocksets import (
     spectrum,
 )
 from blocksets.blocking import verify
+from blocksets.families import characterize
 
 
 def test_unital_sizes():

@@ -10,16 +10,21 @@ import support
 from blocksets import (
     FamilyLabel,
     IncidencePlane,
+    PointSet,
     SearchTask,
+    baer_complement,
+    baer_subplane,
     certify_no_other_t,
-    characterize,
     exhaustive_extremal_search,
+    hermitian_unital,
     max_size_bound,
+    plane_minus_point,
     spectrum,
 )
 from blocksets import search
 from blocksets.blocking import verify
 from blocksets.extremal import ExtremalValue
+from blocksets.families import characterize
 from blocksets.search import DEFAULT_NODE_BUDGET
 
 
@@ -52,8 +57,8 @@ def test_results_pass_independent_verifier():
 @pytest.mark.parametrize(
     "p, k, t, found, off_set",
     [(2, 1, 2, 7, 3), (3, 1, 3, 13, 4), (2, 2, 1, 280, 3), (2, 2, 2, 360, 3),
-     (2, 2, 4, 21, 5)],
-    ids=["pg22t2", "pg23t3", "pg24t1", "pg24t2", "pg24t4"],
+     (2, 2, 4, 21, 5), (5, 1, 5, 31, 6), (2, 3, 8, 73, 9), (3, 2, 9, 91, 10)],
+    ids=["pg22t2", "pg23t3", "pg24t1", "pg24t2", "pg24t4", "pg25t5", "pg28t8", "pg29t9"],
 )
 def test_found_sets_have_the_papers_t_line_counts(p, k, t, found, off_set):
     """Every point of an extremal set lies on exactly one t-line, and every
@@ -337,6 +342,61 @@ def test_every_reported_set_is_reverified(monkeypatch, t):
     result = exhaustive_extremal_search(SearchTask(plane, t))
     assert [ps.mask for ps in result.sets] == [ps.mask for ps in full.sets if ps.mask != refused]
     assert (result.nodes, result.complete) == (full.nodes, True)
+
+
+@pytest.mark.parametrize("k, t, found", [(2, 1, 280), (2, 2, 360), (4, 16, 273)],
+                         ids=["pg24t1", "pg24t2", "pg216t16"])
+def test_search_counts_each_leaf_once(monkeypatch, k, t, found):
+    """A kept set is labelled from the spectrum of the verdict that kept it,
+    so the lines of each leaf are counted once, and no more."""
+    calls = []
+    real_line_counts = search.blocking._line_counts
+
+    def counting_line_counts(ps):
+        calls.append(ps.mask)
+        return real_line_counts(ps)
+
+    monkeypatch.setattr(search.blocking, "_line_counts", counting_line_counts)
+    result = exhaustive_extremal_search(SearchTask(support.desarguesian(2, k), t))
+    assert result.complete and result.found == found
+    assert len(calls) == found
+    assert calls == [ps.mask for ps in result.sets]
+
+
+@pytest.mark.parametrize("p, k, ts", [(2, 2, (1, 2, 4)), (3, 2, (9,)), (2, 4, (16,))],
+                         ids=["pg24", "pg29", "pg216"])
+def test_characterize_matches_the_papers_definitions(p, k, ts):
+    """``characterize`` and the search's tally agree with the family read
+    from every line's count by mask intersection and the paper's
+    definitions, on each set the search keeps and on sets that are not
+    extremal: each family less a point, the Baer subplane, and random sets
+    of the unital's and the Baer complement's sizes."""
+    plane = support.desarguesian(p, k)
+
+    def by_definition(ps, t=1):
+        spec = support.verdict_by_masks(ps, t).spectrum
+        return support.family_by_definition(plane.order, ps.size, spec)
+
+    for t in ts:
+        result = exhaustive_extremal_search(SearchTask(plane, t))
+        assert result.complete and result.sets
+        labels = [by_definition(ps, t) for ps in result.sets]
+        assert [characterize(ps) for ps in result.sets] == labels
+        tally = {}
+        for label in labels:
+            tally[label.value] = tally.get(label.value, 0) + 1
+        assert list(result.families.items()) == sorted(tally.items())
+    families = [hermitian_unital(plane), baer_complement(plane), plane_minus_point(plane, 0)]
+    others = [PointSet(plane, ps.mask & (ps.mask - 1)) for ps in families]
+    others += families + [baer_subplane(plane)]
+    rng = random.Random(plane.order)
+    for size in (families[0].size, families[1].size):
+        others += [PointSet.from_indices(plane, rng.sample(range(plane.num_points), size))
+                   for _ in range(4)]
+    labels = [by_definition(ps) for ps in others]
+    assert labels[3:6] == [FamilyLabel.UNITAL, FamilyLabel.BAER_COMPLEMENT,
+                           FamilyLabel.PLANE_MINUS_POINT]
+    assert [characterize(ps) for ps in others] == labels
 
 
 # The per-point tables of a small plane are all kept.  TABLE_BYTES=0 builds
